@@ -12,6 +12,7 @@
 #include "core/schema.h"
 #include "hardware/cluster.h"
 #include "rago/provisioner.h"
+#include "serving/runtime/workload.h"
 #include "sim/serving_sim.h"
 
 int main() {
@@ -46,8 +47,8 @@ int main() {
               ToMillis(plan.chosen.perf.tpot));
 
   // Validate under a Poisson arrival trace at 90% of the SLO load.
-  const sim::ArrivalTrace trace =
-      sim::PoissonTrace(2000, slo.min_qps * 0.9, /*seed=*/2026);
+  const runtime::ArrivalTrace trace =
+      runtime::PoissonTrace(2000, slo.min_qps * 0.9, /*seed=*/2026);
   const sim::ServingSimResult observed =
       sim::SimulateServing(model, plan.chosen.schedule, trace);
   std::printf("simulated at %.0f QPS offered: throughput %.1f QPS, avg "

@@ -1,274 +1,46 @@
 /**
  * @file runtime.h
- * Online RAG serving runtime: a request-level scheduler that executes
- * a RAGO schedule against live traffic.
+ * Online RAG serving runtime: executes a RAGO schedule against live
+ * traffic with real retrieval.
  *
- * The analytical model (core/pipeline_model.h) predicts a schedule's
- * steady state and the DES (sim/serving_sim.h) replays it event by
- * event — but neither *serves* anything. This runtime closes the loop:
- * requests from a workload scenario (serving/runtime/workload.h) are
- * admitted through a bounded queue and driven through the schedule's
- * stage graph with per-stage continuous batching (size/timeout flush,
- * like the DES), and the retrieval stage executes **real**
- * ShardedIndex::SearchBatch scans — any backend/partitioner, SIMD
- * kernels and all — fanned out on the shared thread pool.
+ * Requests from a workload scenario (serving/runtime/workload.h) run
+ * through the serving engine (serving/runtime/engine.h): bounded
+ * admission, per-stage continuous batching with size/timeout flush,
+ * the cache tier and the decode pool, all on a virtual clock priced
+ * by the same PipelineModel cost models the optimizer uses. The
+ * runtime adds one thing: every retrieval batch runs as a **real**
+ * ShardedIndex::SearchBatch scan — any backend/partitioner, SIMD
+ * kernels and all — fanned out on the runtime's own thread pool. Its
+ * neighbours feed the caches and the outcome digest, while the
+ * batch's virtual service time stays model-priced, so host wall time
+ * is dominated by the scans and virtual time stays reproducible. The
+ * DES (sim/serving_sim.h) is the same engine without the scans.
  *
- * Execution is hybrid: XPU stages (encoder/rewriter/rerank/prefix) and
- * decode consume modeled service times from the same PipelineModel
- * cost models the optimizer uses, advanced on a virtual clock, while
- * the retrieval stage's *results* come from real scans (its virtual
- * service time stays model-priced so telemetry is reproducible). Wall
- * time is therefore dominated by the real scans, and one machine can
- * serve a schedule chosen by the optimizer over the very same
- * calibrated costs — the end-to-end closed loop on the ROADMAP.
- *
- * Determinism contract (PR-3): a fixed RuntimeOptions::seed yields
+ * Determinism contract: a fixed RuntimeOptions::seed yields
  * bit-identical request outcomes (retrieved ids, TTFT/TPOT), telemetry
  * histograms, and the outcome digest for every num_threads, because
- * the scheduler loop is serial on virtual time and ShardedIndex
- * guarantees thread-count-invariant merged top-k.
+ * the engine is serial on virtual time and ShardedIndex guarantees
+ * thread-count-invariant merged top-k.
  */
 #ifndef RAGO_SERVING_RUNTIME_RUNTIME_H
 #define RAGO_SERVING_RUNTIME_RUNTIME_H
 
-#include <cstdint>
+#include <cstddef>
 #include <memory>
 #include <vector>
 
-#include "common/histogram.h"
-#include "common/metrics.h"
 #include "common/thread_pool.h"
 #include "core/pipeline_model.h"
 #include "core/schedule.h"
-#include "retrieval/perf/retrieval_model.h"
+#include "retrieval/ann/matrix.h"
 #include "retrieval/serving/sharded_index.h"
-#include "serving/cache/rago_cache.h"
-#include "serving/obs/flight_recorder.h"
-#include "serving/obs/slo_alerts.h"
-#include "serving/obs/timeseries.h"
-#include "serving/obs/trace.h"
+#include "serving/runtime/engine.h"
 #include "serving/runtime/workload.h"
 
 namespace rago::runtime {
 
-/// Latency service-level objective for one deployment.
-struct SloTarget {
-  double ttft_seconds = 0.5;   ///< Max acceptable time to first token.
-  double tpot_seconds = 0.05;  ///< Max acceptable time per output token.
-};
-
-/// Runtime configuration knobs.
-struct RuntimeOptions {
-  /**
-   * Bounded admission queue: arrivals finding this many requests
-   * already waiting at the first stage are rejected (counted, never
-   * served). Must be positive.
-   */
-  int admission_queue_limit = 4096;
-  /// Maximum virtual seconds a stage waits to fill its batch before
-  /// flushing a partial one. Must be non-negative.
-  double batch_timeout = 0.050;
-  /**
-   * Worker threads for the real retrieval scans: 0 = hardware
-   * concurrency, 1 = a single worker. Results and telemetry are
-   * bit-identical for every value (the ShardedIndex contract).
-   */
-  int num_threads = 0;
-  /// Neighbors fetched per query vector by the retrieval stage.
-  int top_k = 10;
-  /// Seeds the query-vector assignment stream (request -> pool row).
-  uint64_t seed = 0x5eed;
-  /// SLO the attainment metric is scored against.
-  SloTarget slo;
-  /**
-   * Optional deterministic pricing of the retrieval stage's virtual
-   * service time (e.g. a MeasuredRetrievalModel calibrated from this
-   * very index). Defaults to the pipeline model's EvalRetrieval —
-   * identical to the DES's treatment. Not owned; must outlive Serve.
-   */
-  const retrieval::RetrievalModel* retrieval_model = nullptr;
-  /// Per-stage queue-depth timeline samples kept (0 disables).
-  int timeline_limit = 4096;
-  /**
-   * Multi-level cache tier (serving/cache/rago_cache.h). With
-   * retrieval_capacity > 0, requests whose query fingerprint is cached
-   * skip the real scan *and* the retrieval batch entirely: the cached
-   * results are delivered after cache.lookup_seconds and the next
-   * stage is enqueued immediately (retrieval/prefill overlap). With
-   * doc_capacity > 0, each request's retrieved doc ids are measured
-   * against a document KV cache and prefix batches are priced with the
-   * measured per-batch hit fraction instead of the schema's assumed
-   * prefix_cache_hit_rate. Zero capacities (the default) disable each
-   * level and reproduce cacheless serving bit-identically.
-   */
-  cache::CacheOptions cache;
-
-  /**
-   * Optional span-trace recorder (serving/obs/trace.h). When set,
-   * Serve appends admission/queue/batch/stage/cache/decode spans on
-   * the virtual clock as it schedules; null (the default) records
-   * nothing. Observation-only by contract: every RuntimeResult field,
-   * including the outcome digest, is bit-identical with tracing on or
-   * off — the invariance tests pin this. Not owned; must outlive
-   * Serve. Appends happen on the serial scheduler loop only.
-   */
-  obs::TraceRecorder* trace = nullptr;
-  /**
-   * Optional metrics registry (common/metrics.h). When set, Serve
-   * records its counters/gauges and streams TTFT/TPOT/queue-wait into
-   * bounded histograms under "runtime.*" names. Same observation-only
-   * contract as `trace`. Not owned; must outlive Serve.
-   */
-  MetricsRegistry* metrics = nullptr;
-  /**
-   * Optional windowed telemetry (serving/obs/timeseries.h). When set,
-   * Serve rolls arrivals/rejections/completions/queue-depth/busy-time
-   * into fixed virtual-clock windows with the retention ladder keeping
-   * memory bounded for any run length, and closes windows as the event
-   * loop passes their upper edge. Same observation-only contract as
-   * `trace`; thread-count invariant. Not owned; must outlive Serve and
-   * arrive unfinished (Serve calls Finish at the end of the run).
-   */
-  obs::TelemetryTimeSeries* timeseries = nullptr;
-  /**
-   * Optional burn-rate alerting (serving/obs/slo_alerts.h). Requires
-   * `timeseries`; each closed fine window is fed to the engine and the
-   * resulting transitions are emitted as trace instants (when tracing)
-   * and flight records (when flying). Observation-only unless the
-   * engine's fold_into_digest opts the transitions into the outcome
-   * digest. Not owned; must outlive Serve.
-   */
-  obs::SloAlertEngine* alerts = nullptr;
-  /**
-   * Optional flight recorder (serving/obs/flight_recorder.h): a
-   * bounded ring of recent window/alert/rejection/milestone records.
-   * When serving aborts (RAGO_CHECK failure or any exception unwinding
-   * the event loop) the ring is dumped to `flight_dump_path` (when
-   * non-empty) before the exception continues. Not owned.
-   */
-  obs::FlightRecorder* flight = nullptr;
-  /// Dump target for the flight recorder on abort; empty = no dump.
-  std::string flight_dump_path;
-  /**
-   * Exact samples each latency recorder (TTFT/TPOT/queue-wait, per
-   * stage and aggregate) keeps before folding into the bounded
-   * streaming representation (common/histogram.h). The switchover is
-   * a pure function of the sample count — deterministic across thread
-   * counts — and is surfaced via RuntimeResult::streaming_histograms.
-   * Must be positive.
-   */
-  int64_t histogram_sample_cap = Histogram::kDefaultSampleCap;
-
-  /// Throws ConfigError on invalid knobs.
-  void Validate() const;
-};
-
-/// One (virtual time, state) sample of a stage's telemetry timeline.
-struct StageTimelinePoint {
-  double time = 0.0;        ///< Virtual seconds.
-  int queue_depth = 0;      ///< Waiting requests after the event.
-  double utilization = 0.0; ///< Busy fraction of the stage so far.
-};
-
-/// Per-stage telemetry of one Serve call.
-struct StageTelemetry {
-  core::StageType type = core::StageType::kPrefix;
-  int server = 0;           ///< Collocation group id, or the dedicated
-                            ///< retrieval server index.
-  int64_t batches = 0;      ///< Batches flushed (full or timed out).
-  int64_t full_batches = 0; ///< Batches flushed at the configured size.
-  int64_t requests = 0;     ///< Requests processed.
-  double busy_seconds = 0.0;  ///< Virtual server occupancy.
-  double utilization = 0.0;   ///< busy_seconds / makespan.
-  int max_queue_depth = 0;
-  Histogram queue_wait;       ///< Virtual wait from enqueue to flush.
-  std::vector<StageTimelinePoint> timeline;
-};
-
-/// Outcome of one request (virtual seconds unless noted).
-struct RequestOutcome {
-  double arrival = 0.0;
-  bool admitted = false;
-  double ttft = -1.0;        ///< Arrival to first token; -1 if rejected.
-  double decode_start = -1.0;  ///< Admission into the decode pool.
-  double tpot = -1.0;        ///< Decode seconds per output token (from
-                             ///< decode_start, matching the DES).
-  double completion = -1.0;  ///< Absolute completion time.
-  double queue_wait = 0.0;   ///< Summed pre-decode queue waits.
-  int64_t first_neighbor = -1;  ///< Top-1 global id of the request's
-                                ///< first query (a real scan result
-                                ///< or its cached equivalent).
-  bool slo_ok = false;       ///< Completed within both SLO targets.
-  /// Served from the retrieval-result cache (no real scan ran).
-  bool retrieval_cache_hit = false;
-  /// Measured fraction of this request's retrieved documents resident
-  /// in the KV cache when its results landed (0 when that level is
-  /// disabled) — the measured prefix_cache_hit_rate.
-  double prefix_hit_fraction = 0.0;
-};
-
-/// Aggregate result of one Serve call.
-struct RuntimeResult {
-  int64_t submitted = 0;
-  int64_t admitted = 0;
-  int64_t rejected = 0;
-  int64_t completed = 0;
-  double makespan = 0.0;     ///< Last completion (virtual seconds).
-  double throughput = 0.0;   ///< completed / makespan.
-
-  Histogram ttft;            ///< Completed requests only.
-  Histogram tpot;
-  Histogram queue_wait;      ///< Summed pre-decode waits per request.
-
-  /**
-   * Fraction of *submitted* requests that completed within both SLO
-   * targets — rejected requests score as violations, so shedding load
-   * cannot inflate attainment.
-   */
-  double slo_attainment = 0.0;
-
-  std::vector<StageTelemetry> stages;  ///< Pre-decode stages, in order.
-  double decode_utilization = 0.0;
-  int max_decode_queue_depth = 0;
-
-  /**
-   * Cache-tier telemetry: hit/miss/eviction/insertion counters of the
-   * retrieval-result cache and the document KV cache, and the mean
-   * measured prefix hit fraction over admitted requests — the
-   * *measured* quantity that replaces the schema's assumed
-   * prefix_cache_hit_rate. All folded into the outcome digest, so the
-   * determinism sweep pins them for every thread count.
-   */
-  cache::CacheCounters retrieval_cache;
-  cache::CacheCounters doc_cache;
-  double measured_prefix_hit_rate = 0.0;
-
-  /**
-   * Latency recorders that hit RuntimeOptions::histogram_sample_cap
-   * and degraded to bounded streaming percentiles (0 in typical runs:
-   * the switchover is surfaced, never silent).
-   */
-  int streaming_histograms = 0;
-
-  /// Real-scan accounting (host wall clock; *not* covered by the
-  /// determinism contract, unlike everything above).
-  double real_scan_seconds = 0.0;
-  double real_scan_bytes = 0.0;
-  int64_t real_queries_scanned = 0;
-
-  std::vector<RequestOutcome> requests;  ///< Indexed by request id.
-
-  /**
-   * FNV-1a digest over every request outcome in id order: admission,
-   * retrieved (id, distance-bit) pairs, and TTFT/TPOT/completion bit
-   * patterns. Two runs serve identically iff digests match — the
-   * determinism tests sweep num_threads against this.
-   */
-  uint64_t outcome_digest = 0;
-};
-
 /**
- * The serving engine for one (model, schedule, index) deployment.
+ * The live serving runtime for one (model, schedule, index) deployment.
  * Construction validates the schedule against the model and the
  * options; Serve may be called repeatedly (each call is independent).
  */

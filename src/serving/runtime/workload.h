@@ -6,10 +6,7 @@
  * trace-driven DES (sim/serving_sim.h) and the online serving runtime
  * (serving/runtime/runtime.h) both consume the same ArrivalTrace, so
  * a scenario defined here — open-loop Poisson, bursty MMPP, diurnal
- * tides, or a replayed trace file — drives either engine unchanged.
- * This library absorbs the generators that previously lived inside
- * sim/serving_sim.{h,cc}; the sim namespace re-exports them for
- * existing call sites.
+ * tides, or a replayed trace file — drives either one unchanged.
  *
  * All generators are seeded and deterministic (common/rng.h): the same
  * (options, seed) produce bit-identical traces on every platform, and

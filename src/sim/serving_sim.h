@@ -8,7 +8,11 @@
  * arrival trace: requests queue per stage, collocation groups
  * time-multiplex their member stages (paper Fig. 14), the retrieval
  * tier serves fixed-size query batches, and decode runs continuous
- * batching. It serves two purposes:
+ * batching. It is the serving engine (serving/runtime/engine.h) that
+ * the online runtime runs, with retrieval priced only (no real scans),
+ * caches off and unbounded admission, so under those options the
+ * runtime's virtual outcomes equal the DES's bit for bit. It serves
+ * two purposes:
  *  - validation: at saturation the measured throughput must approach
  *    the analytical QPS; at low load the TTFT must approach the sum
  *    of stage latencies (tested in tests/test_serving_sim.cc);
@@ -33,27 +37,6 @@
 
 namespace rago::sim {
 
-// The arrival-trace type and its generators live in the shared
-// scenario library (serving/runtime/workload.h) so the DES and the
-// online runtime consume identical traffic; these aliases keep the
-// historical sim:: spellings working.
-using ArrivalTrace = ::rago::runtime::ArrivalTrace;
-
-/// Uniform (open-loop) arrivals: `count` requests at fixed `qps`.
-inline ArrivalTrace UniformTrace(int count, double qps) {
-  return ::rago::runtime::UniformTrace(count, qps);
-}
-
-/// Poisson arrivals at rate `qps`, seeded.
-inline ArrivalTrace PoissonTrace(int count, double qps, uint64_t seed) {
-  return ::rago::runtime::PoissonTrace(count, qps, seed);
-}
-
-/// One burst of `count` simultaneous arrivals at t = 0.
-inline ArrivalTrace BurstTrace(int count) {
-  return ::rago::runtime::BurstTrace(count);
-}
-
 /// Simulation knobs.
 struct ServingSimOptions {
   /// Maximum time a stage waits to fill its batch before flushing a
@@ -69,19 +52,18 @@ struct ServingSimOptions {
   const retrieval::RetrievalModel* retrieval_model = nullptr;
   /**
    * Optional span-trace recorder (serving/obs/trace.h): when set, the
-   * simulation appends arrival/queue/batch/stage/decode spans on the
-   * virtual clock — the same track layout the online runtime emits, so
-   * DES and runtime traces are directly comparable in chrome://tracing.
-   * Observation-only: every ServingSimResult field is identical with
+   * simulation appends arrival/queue/batch/stage/decode spans and
+   * per-stage counter tracks on the virtual clock — the engine emits
+   * the same tracks for the online runtime, so DES and runtime traces
+   * line up in chrome://tracing. Observation-only: every ServingSimResult field is identical with
    * tracing on or off. Not owned; must outlive the call.
    */
   obs::TraceRecorder* trace = nullptr;
   /**
    * Optional windowed telemetry sink (serving/obs/timeseries.h): the
-   * simulation rolls offered/completed counts, TTFT/TPOT latencies,
-   * queue depths, and server busy time into fixed virtual-clock
-   * windows — the same rollup shape the online runtime feeds, so DES
-   * and runtime time series compare window for window.
+   * simulation rolls offered/completed counts, TTFT/TPOT/queue-wait
+   * latencies, queue depths, and server busy time into fixed
+   * virtual-clock windows, exactly as the online runtime does.
    * Observation-only. Not owned; must outlive the call.
    */
   obs::TelemetryTimeSeries* timeseries = nullptr;
@@ -102,9 +84,7 @@ struct ServingSimOptions {
   std::string flight_dump_path;
   /**
    * SLO bounds used to classify completions for windowed attainment
-   * and burn-rate alerting. <= 0 disables that bound. Kept as plain
-   * doubles (not runtime::SloTarget) so the sim layer stays
-   * independent of the online runtime.
+   * and burn-rate alerting. <= 0 disables that bound.
    */
   double slo_ttft_seconds = 0.0;
   double slo_tpot_seconds = 0.0;
@@ -138,7 +118,7 @@ struct ServingSimResult {
  */
 ServingSimResult SimulateServing(const core::PipelineModel& model,
                                  const core::Schedule& schedule,
-                                 const ArrivalTrace& trace,
+                                 const runtime::ArrivalTrace& trace,
                                  const ServingSimOptions& options = {});
 
 }  // namespace rago::sim

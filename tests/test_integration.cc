@@ -21,6 +21,7 @@
 #include "retrieval/perf/scann_model.h"
 #include "retrieval/serving/calibration.h"
 #include "retrieval/serving/sharded_index.h"
+#include "serving/runtime/workload.h"
 #include "sim/iterative_sim.h"
 #include "sim/serving_sim.h"
 #include "tests/testing/test_support.h"
@@ -139,7 +140,7 @@ TEST(Integration, MeasuredRetrievalTierMatchesScannModelInServingDes) {
   const retrieval::MeasuredRetrievalModel measured_tier(
       profile, DefaultCluster().cpu_server, schedule.retrieval_servers);
 
-  const sim::ArrivalTrace trace = sim::PoissonTrace(200, 60.0, 9);
+  const runtime::ArrivalTrace trace = runtime::PoissonTrace(200, 60.0, 9);
   const sim::ServingSimResult analytic =
       sim::SimulateServing(model, schedule, trace);
   sim::ServingSimOptions options;
@@ -181,7 +182,7 @@ TEST(Integration, FunctionalShardedCalibrationDrivesServingDes) {
   schedule.retrieval_servers = model.MinRetrievalServers();
   schedule.retrieval_batch = 4;
 
-  const sim::ArrivalTrace trace = sim::PoissonTrace(100, 60.0, 5);
+  const runtime::ArrivalTrace trace = runtime::PoissonTrace(100, 60.0, 5);
   sim::ServingSimOptions options;
   options.retrieval_model = &measured_tier;
   const sim::ServingSimResult result =
@@ -221,7 +222,7 @@ TEST(Integration, ServingDesTracksAnalyticalModelAcrossOptimizerGrid) {
     // Saturation: offered load far above capacity.
     const sim::ServingSimResult saturated = sim::SimulateServing(
         model, point.schedule,
-        sim::UniformTrace(1200, point.perf.qps * 5.0));
+        runtime::UniformTrace(1200, point.perf.qps * 5.0));
     EXPECT_EQ(saturated.completed, 1200);
     RAGO_EXPECT_REL_NEAR(saturated.throughput, point.perf.qps, 0.25);
 
@@ -230,7 +231,7 @@ TEST(Integration, ServingDesTracksAnalyticalModelAcrossOptimizerGrid) {
     sim::ServingSimOptions flush_fast;
     flush_fast.batch_timeout = 1e-4;
     const sim::ServingSimResult light = sim::SimulateServing(
-        model, point.schedule, sim::UniformTrace(30, 2.0), flush_fast);
+        model, point.schedule, runtime::UniformTrace(30, 2.0), flush_fast);
     EXPECT_EQ(light.completed, 30);
     RAGO_EXPECT_REL_NEAR(light.avg_ttft, point.perf.ttft, 0.35);
 
@@ -239,7 +240,7 @@ TEST(Integration, ServingDesTracksAnalyticalModelAcrossOptimizerGrid) {
     // bias completed/makespan.
     const double offered = point.perf.qps * 0.4;
     const sim::ServingSimResult cruising = sim::SimulateServing(
-        model, point.schedule, sim::UniformTrace(2500, offered));
+        model, point.schedule, runtime::UniformTrace(2500, offered));
     RAGO_EXPECT_REL_NEAR(cruising.throughput, offered, 0.10);
 
     ++points_checked;

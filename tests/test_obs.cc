@@ -20,6 +20,7 @@
 #include "serving/obs/slo_alerts.h"
 #include "serving/obs/timeseries.h"
 #include "serving/obs/trace.h"
+#include "serving/runtime/workload.h"
 #include "sim/serving_sim.h"
 #include "tests/testing/test_support.h"
 
@@ -174,7 +175,7 @@ core::Schedule SimpleSchedule(const core::PipelineModel& model,
 TEST(TraceRecorder, DesSimulationEmitsLoadableTrace) {
   const core::PipelineModel model = rago::testing::TinyHyperscaleModel();
   const core::Schedule schedule = SimpleSchedule(model, 8, 8, 4, 64);
-  const sim::ArrivalTrace trace = sim::PoissonTrace(50, 100.0, 3);
+  const runtime::ArrivalTrace trace = runtime::PoissonTrace(50, 100.0, 3);
 
   const sim::ServingSimResult plain =
       sim::SimulateServing(model, schedule, trace);
@@ -335,7 +336,7 @@ TEST(TraceSampling, TailKeepRetainsWorstAndViolatorsOutrankSlow) {
 TEST(TraceSampling, DesSampledTraceIsASubsetOfTheFullTrace) {
   const core::PipelineModel model = rago::testing::TinyHyperscaleModel();
   const core::Schedule schedule = SimpleSchedule(model, 8, 8, 4, 64);
-  const sim::ArrivalTrace trace = sim::PoissonTrace(80, 120.0, 3);
+  const runtime::ArrivalTrace trace = runtime::PoissonTrace(80, 120.0, 3);
 
   TraceRecorder full;
   sim::ServingSimOptions full_options;
@@ -390,7 +391,7 @@ TEST(TraceSampling, DesTelemetryLadderAndFlightRideAlong) {
   // recorder — none of it may move a single result field.
   const core::PipelineModel model = rago::testing::TinyHyperscaleModel();
   const core::Schedule schedule = SimpleSchedule(model, 8, 8, 4, 64);
-  const sim::ArrivalTrace trace = sim::PoissonTrace(80, 120.0, 3);
+  const runtime::ArrivalTrace trace = runtime::PoissonTrace(80, 120.0, 3);
 
   const sim::ServingSimResult plain =
       sim::SimulateServing(model, schedule, trace);
@@ -437,10 +438,48 @@ TEST(TraceSampling, DesTelemetryLadderAndFlightRideAlong) {
   EXPECT_NE(dump.find("sim end"), std::string::npos);
 }
 
+TEST(TraceSampling, DesResultsAreUnchangedWithEverySinkAttached) {
+  // Trace, windowed telemetry, alerts and flight recorder on the DES at
+  // once, with SLO bounds set: the fields the runtime-vs-DES identity
+  // pins stay bit-identical.
+  const core::PipelineModel model = rago::testing::TinyHyperscaleModel();
+  const core::Schedule schedule = SimpleSchedule(model, 8, 8, 4, 64);
+  const runtime::ArrivalTrace trace = runtime::PoissonTrace(80, 120.0, 3);
+
+  const sim::ServingSimResult plain =
+      sim::SimulateServing(model, schedule, trace);
+
+  TraceRecorder recorder;
+  TelemetryTimeSeries series;
+  SloAlertOptions alert_options;
+  alert_options.rules.push_back({});
+  SloAlertEngine alerts(alert_options);
+  FlightRecorder flight(32);
+  sim::ServingSimOptions options;
+  options.trace = &recorder;
+  options.timeseries = &series;
+  options.alerts = &alerts;
+  options.flight = &flight;
+  options.slo_ttft_seconds = 0.05;
+  options.slo_tpot_seconds = 0.001;
+  const sim::ServingSimResult observed =
+      sim::SimulateServing(model, schedule, trace, options);
+
+  EXPECT_EQ(observed.completed, plain.completed);
+  EXPECT_EQ(observed.throughput, plain.throughput);
+  EXPECT_EQ(observed.makespan, plain.makespan);
+  EXPECT_EQ(observed.avg_ttft, plain.avg_ttft);
+  EXPECT_EQ(observed.p99_ttft, plain.p99_ttft);
+  EXPECT_EQ(observed.avg_tpot, plain.avg_tpot);
+  EXPECT_EQ(observed.decode_utilization, plain.decode_utilization);
+  EXPECT_GT(recorder.size(), 0u);
+  EXPECT_GT(flight.appended(), 0);
+}
+
 TEST(TraceSampling, SimRequiresTimeseriesForAlerts) {
   const core::PipelineModel model = rago::testing::TinyHyperscaleModel();
   const core::Schedule schedule = SimpleSchedule(model, 8, 8, 4, 64);
-  const sim::ArrivalTrace trace = sim::BurstTrace(4);
+  const runtime::ArrivalTrace trace = runtime::BurstTrace(4);
 
   SloAlertOptions alert_options;
   alert_options.rules.push_back({});

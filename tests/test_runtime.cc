@@ -2,8 +2,9 @@
  * @file test_runtime.cc
  * Tests for the online serving runtime and its workload scenario
  * library: determinism across thread counts (bit-identical outcomes
- * and telemetry), bounded runtime-vs-DES disagreement on the operating
- * points both engines describe, SLO-attainment monotonicity under
+ * and telemetry), bit-identical runtime-vs-DES outcomes (one engine,
+ * with and without real scans), a linear bound on popped events under
+ * bursty traffic, SLO-attainment monotonicity under
  * rising offered load, trace-file round-trips, and option validation.
  */
 #include <gtest/gtest.h>
@@ -555,11 +556,10 @@ TEST(ServingRuntimeTest, HistogramSampleCapSwitchoverIsSurfacedNotSilent) {
 }
 
 TEST(ServingRuntimeTest, TracksServingDesAcrossOptimizerPoints) {
-  // Runtime-vs-DES cross-check, mirroring the PR-4 DES-vs-analytical
-  // harness: both engines run the same schedule batching semantics on
-  // model-priced virtual time, so for the same Poisson trace their
-  // throughput and mean TTFT must agree within a tight bound — the
-  // runtime merely adds (bounded-but-large) admission and real scans.
+  // The DES is the runtime's engine without real scans, and both price
+  // retrieval from the model. So with caches off and admission
+  // unbounded the two agree bit for bit, at every frontier point, load
+  // and flush timeout: any difference is a bug, not model error.
   const core::PipelineModel model = rago::testing::TinyHyperscaleModel();
   opt::SearchOptions search = rago::testing::SmallSearchGrid();
   search.num_threads = 2;
@@ -568,29 +568,94 @@ TEST(ServingRuntimeTest, TracksServingDesAcrossOptimizerPoints) {
   ASSERT_FALSE(frontier.pareto.empty());
   const LiveTier tier = MakeLiveTier();
 
-  const size_t stride = std::max<size_t>(1, frontier.pareto.size() / 3);
-  int points_checked = 0;
-  for (size_t i = 0; i < frontier.pareto.size(); i += stride) {
-    const opt::ScheduledPoint& point = frontier.pareto[i];
-    const ArrivalTrace trace =
-        PoissonTrace(400, point.perf.qps * 0.6, 23);
+  size_t runs = 0;
+  for (const opt::ScheduledPoint& point : frontier.pareto) {
+    for (double load : {0.3, 0.6, 1.2}) {
+      const ArrivalTrace trace =
+          PoissonTrace(400, point.perf.qps * load, 23);
+      for (double timeout : {0.005, 0.050}) {
+        sim::ServingSimOptions sim_options;
+        sim_options.batch_timeout = timeout;
+        const sim::ServingSimResult des =
+            sim::SimulateServing(model, point.schedule, trace, sim_options);
+        RuntimeOptions options;
+        options.admission_queue_limit = 1 << 20;  // Effectively unbounded.
+        options.batch_timeout = timeout;
+        options.num_threads = 2;
+        const RuntimeResult live =
+            ServingRuntime(model, point.schedule, tier.index, options)
+                .Serve(trace, tier.queries);
 
-    const sim::ServingSimResult des =
-        sim::SimulateServing(model, point.schedule, trace);
-    RuntimeOptions options;
-    options.admission_queue_limit = 1 << 20;  // Effectively unbounded.
-    options.num_threads = 2;
-    const ServingRuntime runtime(model, point.schedule, tier.index,
-                                 options);
-    const RuntimeResult live = runtime.Serve(trace, tier.queries);
-
-    EXPECT_EQ(live.completed, des.completed);
-    RAGO_EXPECT_REL_NEAR(live.throughput, des.throughput, 0.05);
-    RAGO_EXPECT_REL_NEAR(live.ttft.Mean(), des.avg_ttft, 0.05);
-    RAGO_EXPECT_REL_NEAR(live.tpot.Mean(), des.avg_tpot, 0.05);
-    ++points_checked;
+        EXPECT_EQ(live.completed, des.completed);
+        EXPECT_EQ(live.throughput, des.throughput);
+        EXPECT_EQ(live.makespan, des.makespan);
+        EXPECT_EQ(live.ttft.Mean(), des.avg_ttft);
+        EXPECT_EQ(live.ttft.Percentile(0.99), des.p99_ttft);
+        EXPECT_EQ(live.tpot.Mean(), des.avg_tpot);
+        EXPECT_EQ(live.decode_utilization, des.decode_utilization);
+        ++runs;
+      }
+    }
   }
-  EXPECT_GE(points_checked, 2);
+  EXPECT_EQ(runs, frontier.pareto.size() * 6);
+}
+
+TEST(ServingRuntimeTest, FlushDeadlinesStayLinearUnderBurstsOnACollocatedServer) {
+  // Bursty MMPP traffic at the default 50 ms timeout, a Zipf query
+  // stream over both cache levels, and all four chain stages of the
+  // rewriter-reranker pipeline collocated on one XPU group, so several
+  // stages wait with partial batches whenever that server is idle.
+  // Each idle-server pass re-arms their flush deadlines; unless an
+  // equal deadline is skipped, re-armed twins multiply without bound.
+  const core::PipelineModel model(rago::testing::TinyRewriterRerankerSchema(),
+                                  DefaultCluster());
+  const core::Schedule schedule = SimpleSchedule(model, 8, 8, 8, 64);
+  const core::EndToEndPerf perf = model.Evaluate(schedule);
+  ASSERT_TRUE(perf.feasible);
+  const LiveTier tier = MakeLiveTier();
+  MmppOptions mmpp;
+  mmpp.quiet_qps = perf.qps * 0.4;
+  mmpp.burst_qps = perf.qps * 2.0;
+  mmpp.mean_quiet_seconds = 0.5;
+  mmpp.mean_burst_seconds = 0.2;
+  const ArrivalTrace trace = MmppTrace(600, mmpp, 3);
+
+  RuntimeOptions options;
+  options.num_threads = 1;
+  options.top_k = 5;
+  options.cache.retrieval_capacity = 16;
+  options.cache.doc_capacity = 256;
+  ASSERT_EQ(options.batch_timeout, 0.050);
+  const RuntimeResult result =
+      ServingRuntime(model, schedule, tier.index, options)
+          .Serve(trace, tier.queries,
+                 ZipfianQueryStream(600, tier.queries.rows(), 1.0, 9));
+  ASSERT_EQ(result.completed, result.admitted);
+  EXPECT_GT(result.retrieval_cache.hits, 0);
+
+  // Every popped event is one of:
+  //  - an arrival: one per submitted request;
+  //  - a batch completion: one per batch;
+  //  - a cache-hit delivery: one per retrieval-cache hit;
+  //  - a decode step: steps run back to back, each occupying the pool
+  //    for one step latency, so decode busy time / step latency (plus
+  //    one for rounding);
+  //  - a flush deadline, armed at most once per (stage, time). A
+  //    stage's deadline time changes only when its queue turns
+  //    non-empty or a batch starts: at most requests + batches.
+  const core::StagePerf decode =
+      model.EvalDecode(schedule.decode_chips, schedule.decode_batch);
+  const double step_latency =
+      static_cast<double>(schedule.decode_batch) /
+      (decode.throughput * model.schema().workload.decode_tokens);
+  int64_t bound = result.submitted + result.retrieval_cache.hits + 1 +
+                  std::llround(result.decode_utilization * result.makespan /
+                               step_latency);
+  for (const StageTelemetry& stage : result.stages) {
+    bound += stage.batches + stage.requests + stage.batches;
+  }
+  EXPECT_GT(result.events_processed, result.submitted);
+  EXPECT_LE(result.events_processed, bound);
 }
 
 TEST(ServingRuntimeTest, SloAttainmentMonotoneUnderRisingLoad) {

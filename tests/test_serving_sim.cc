@@ -10,11 +10,17 @@
 #include "core/pipeline_model.h"
 #include "core/schema.h"
 #include "hardware/cluster.h"
+#include "serving/runtime/workload.h"
 #include "sim/serving_sim.h"
 #include "tests/testing/test_support.h"
 
 namespace rago::sim {
 namespace {
+
+using runtime::ArrivalTrace;
+using runtime::BurstTrace;
+using runtime::PoissonTrace;
+using runtime::UniformTrace;
 
 core::Schedule SimpleSchedule(const core::PipelineModel& model,
                               int group_chips, int decode_chips,
