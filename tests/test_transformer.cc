@@ -6,6 +6,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "common/check.h"
 #include "models/transformer.h"
 #include "tests/testing/test_support.h"
@@ -20,6 +22,11 @@ struct SizeCase {
   double nominal;
   double tolerance;
 };
+
+// Prints the case as its preset name. Without it GoogleTest dumps the
+// struct's bytes, pointers included, into the listed test name, and
+// the name CTest discovers changes with every load address.
+void PrintTo(const SizeCase& c, std::ostream* os) { *os << c.name; }
 
 class ParamCountTest : public ::testing::TestWithParam<SizeCase> {};
 
@@ -39,10 +46,7 @@ INSTANTIATE_TEST_SUITE_P(
                       SizeCase{"8B", &Llama8B, 8.0e9, 0.10},
                       SizeCase{"70B", &Llama70B, 70.6e9, 0.10},
                       SizeCase{"405B", &Llama405B, 405e9, 0.10},
-                      SizeCase{"120M", &Encoder120M, 120e6, 0.15}),
-    [](const ::testing::TestParamInfo<SizeCase>& info) {
-      return std::string(info.param.name);
-    });
+                      SizeCase{"120M", &Encoder120M, 120e6, 0.15}));
 
 TEST(Transformer, PresetsAreOrderedBySize) {
   EXPECT_LT(Encoder120M().NumParams(), Llama1B().NumParams());
