@@ -2,12 +2,12 @@
  * @file bench_distance_kernels.cc
  * Distance-kernel micro-benchmark: GB/s and distance evals/s per
  * compiled kernel variant (scalar / avx2 / avx512) for the batched
- * L2 / inner-product, multi-query micro-tile, and PQ ADC kernels in
- * both the strided and packed (fast-scan) layouts, plus the headline
- * speedups the ISSUE acceptance bands track: batched-AVX2 vs
- * scalar-single-row, and packed ADC vs the scalar strided scan. The
- * working set is sized to stay cache-resident so the numbers reflect
- * kernel arithmetic, not DRAM.
+ * L2 / inner-product, multi-query micro-tile, PQ ADC table-build
+ * (column-major codebooks) and packed (fast-scan) ADC kernels, plus
+ * the headline speedups: batched-AVX2 vs scalar-single-row, and each
+ * variant's table build and packed ADC vs scalar. The working set is
+ * sized to stay cache-resident so the numbers reflect kernel
+ * arithmetic, not DRAM.
  *
  * Accepts `--json out.json` like the other harnesses. The report is
  * printed on any host — including non-AVX or 1-core containers, where
@@ -74,6 +74,11 @@ int main(int argc, char** argv) {
   const size_t dim = 128;
   const size_t tile_queries = 8;
   const size_t pq_m = 16;
+  // ADC table build in the serving benchmark's IVF-PQ shape: 8
+  // subspaces x 256 centroids x sub_dim 4, one table per query.
+  const size_t build_m = 8;
+  const size_t build_sub_dim = 4;
+  const size_t build_queries = rows / kernels::kAdcCentroids;
   Rng rng(99);
   std::vector<float> data(rows * dim);
   for (float& x : data) {
@@ -92,6 +97,16 @@ int main(int argc, char** argv) {
     c = static_cast<uint8_t>(rng.NextBounded(kernels::kAdcCentroids));
   }
   const rago::ann::PackedCodes packed(codes.data(), rows, pq_m);
+  std::vector<float> codebooks(build_m * build_sub_dim *
+                               kernels::kAdcCentroids);
+  for (float& x : codebooks) {
+    x = static_cast<float>(rng.NextGaussian());
+  }
+  std::vector<float> build_queries_data(build_queries * build_m *
+                                        build_sub_dim);
+  for (float& x : build_queries_data) {
+    x = static_cast<float>(rng.NextGaussian());
+  }
   std::vector<float> out(tile_queries * rows);
 
   Banner("Distance-kernel throughput (4096 x 128-d rows, cache-resident)");
@@ -106,6 +121,11 @@ int main(int argc, char** argv) {
 
   const double row_bytes = static_cast<double>(rows * dim * sizeof(float));
   const double code_bytes = static_cast<double>(rows * pq_m);
+  const double table_entries =
+      static_cast<double>(build_queries * build_m * kernels::kAdcCentroids);
+  // Each table build streams the whole codebook once.
+  const double codebook_bytes = static_cast<double>(
+      build_queries * codebooks.size() * sizeof(float));
   std::vector<KernelResult> results;
 
   // The scalar-single-row baseline the acceptance speedup is defined
@@ -140,17 +160,16 @@ int main(int argc, char** argv) {
   }
 
   double avx2_batch_evals_per_sec = 0.0;
-  double scalar_adc_strided_evals_per_sec = 0.0;
-  struct AdcSpeedups {
+  struct Speedups {
     std::string variant;
-    double strided_evals_per_sec = 0.0;
-    double packed_evals_per_sec = 0.0;
+    double table_build_evals_per_sec = 0.0;
+    double adc_packed_evals_per_sec = 0.0;
   };
-  std::vector<AdcSpeedups> adc;
+  std::vector<Speedups> speedups;
   for (const Variant& variant : variants) {
     const kernels::KernelTable& table = *variant.table;
-    AdcSpeedups adc_row;
-    adc_row.variant = variant.name;
+    Speedups row;
+    row.variant = variant.name;
     {
       const Measurement m = MeasureFor([&] {
         table.l2sq_batch(queries.data(), data.data(), rows, dim, out.data());
@@ -189,18 +208,24 @@ int main(int argc, char** argv) {
     }
     {
       const Measurement m = MeasureFor([&] {
-        table.adc_batch(adc_table.data(), codes.data(), rows, pq_m,
-                        out.data());
+        for (size_t q = 0; q < build_queries; ++q) {
+          for (size_t sub = 0; sub < build_m; ++sub) {
+            table.l2sq_cols(
+                build_queries_data.data() +
+                    (q * build_m + sub) * build_sub_dim,
+                codebooks.data() +
+                    sub * build_sub_dim * kernels::kAdcCentroids,
+                kernels::kAdcCentroids, build_sub_dim,
+                out.data() + (q * build_m + sub) * kernels::kAdcCentroids);
+          }
+        }
         g_sink += out[rows / 2];
       });
       const double per_sec = static_cast<double>(m.reps) / m.seconds;
-      adc_row.strided_evals_per_sec = per_sec * static_cast<double>(rows);
-      if (std::string(variant.name) == "scalar") {
-        scalar_adc_strided_evals_per_sec = adc_row.strided_evals_per_sec;
-      }
-      results.push_back({"adc_batch_m16", variant.name,
-                         per_sec * code_bytes / 1e9,
-                         per_sec * static_cast<double>(rows)});
+      row.table_build_evals_per_sec = per_sec * table_entries;
+      results.push_back({"pq_table_build_m8", variant.name,
+                         per_sec * codebook_bytes / 1e9,
+                         row.table_build_evals_per_sec});
     }
     {
       const Measurement m = MeasureFor([&] {
@@ -209,12 +234,12 @@ int main(int argc, char** argv) {
         g_sink += out[rows / 2];
       });
       const double per_sec = static_cast<double>(m.reps) / m.seconds;
-      adc_row.packed_evals_per_sec = per_sec * static_cast<double>(rows);
+      row.adc_packed_evals_per_sec = per_sec * static_cast<double>(rows);
       results.push_back({"adc_packed_m16", variant.name,
                          per_sec * code_bytes / 1e9,
-                         per_sec * static_cast<double>(rows)});
+                         row.adc_packed_evals_per_sec});
     }
-    adc.push_back(adc_row);
+    speedups.push_back(row);
   }
 
   TextTable table_out;
@@ -240,28 +265,20 @@ int main(int argc, char** argv) {
         "\nAVX2 kernels unavailable on this host; scalar-only report "
         "(speedup band deferred to AVX2 CI runners)\n");
   }
-  double best_packed_vs_scalar_strided = 0.0;
-  for (const AdcSpeedups& row : adc) {
-    const double vs_strided =
-        row.strided_evals_per_sec > 0.0
-            ? row.packed_evals_per_sec / row.strided_evals_per_sec
-            : 0.0;
-    const double vs_scalar =
-        scalar_adc_strided_evals_per_sec > 0.0
-            ? row.packed_evals_per_sec / scalar_adc_strided_evals_per_sec
-            : 0.0;
-    if (row.variant != "scalar") {
-      best_packed_vs_scalar_strided =
-          std::max(best_packed_vs_scalar_strided, vs_scalar);
-    }
-    std::printf(
-        "ADC %s: packed vs strided %.2fx, packed vs scalar strided %.2fx\n",
-        row.variant.c_str(), vs_strided, vs_scalar);
+  // The scalar variant always runs first, so speedups[0] is the base.
+  auto ratio = [](double value, double base) {
+    return base > 0.0 ? value / base : 0.0;
+  };
+  const Speedups& scalar_row = speedups.front();
+  for (size_t v = 1; v < speedups.size(); ++v) {
+    const Speedups& row = speedups[v];
+    std::printf("%s vs scalar: ADC table build %.2fx, packed ADC %.2fx\n",
+                row.variant.c_str(),
+                ratio(row.table_build_evals_per_sec,
+                      scalar_row.table_build_evals_per_sec),
+                ratio(row.adc_packed_evals_per_sec,
+                      scalar_row.adc_packed_evals_per_sec));
   }
-  std::printf(
-      "Packed-ADC band (info-only until CI runners stabilize): best SIMD "
-      "packed vs scalar strided >= 2.5x on AVX2 hosts; measured %.2fx\n",
-      best_packed_vs_scalar_strided);
 
   JsonWriter json = StartBenchJson("distance_kernels");
   json.Key("rows").Int(static_cast<int64_t>(rows));
@@ -273,33 +290,24 @@ int main(int argc, char** argv) {
   json.Key("avx512_compiled").Bool(kernels::Avx512KernelsCompiled());
   json.Key("avx512_supported").Bool(kernels::CpuSupportsAvx512());
   json.Key("avx2_batch_vs_scalar_single_speedup").Number(speedup);
-  // Per-variant ADC layout comparison (the tentpole's acceptance
-  // number is adc_packed_best_vs_scalar_strided_speedup).
-  json.Key("adc_speedups").BeginArray();
-  for (const AdcSpeedups& row : adc) {
+  json.Key("pq_table_build_shape").BeginObject();
+  json.Key("queries").Int(static_cast<int64_t>(build_queries));
+  json.Key("subspaces").Int(static_cast<int64_t>(build_m));
+  json.Key("sub_dim").Int(static_cast<int64_t>(build_sub_dim));
+  json.EndObject();
+  json.Key("speedups_vs_scalar").BeginArray();
+  for (const Speedups& row : speedups) {
     json.BeginObject();
     json.Key("variant").String(row.variant);
-    json.Key("strided_evals_per_sec").Number(row.strided_evals_per_sec);
-    json.Key("packed_evals_per_sec").Number(row.packed_evals_per_sec);
-    json.Key("packed_vs_strided_speedup")
-        .Number(row.strided_evals_per_sec > 0.0
-                    ? row.packed_evals_per_sec / row.strided_evals_per_sec
-                    : 0.0);
-    json.Key("packed_vs_scalar_strided_speedup")
-        .Number(scalar_adc_strided_evals_per_sec > 0.0
-                    ? row.packed_evals_per_sec /
-                          scalar_adc_strided_evals_per_sec
-                    : 0.0);
+    json.Key("pq_table_build")
+        .Number(ratio(row.table_build_evals_per_sec,
+                      scalar_row.table_build_evals_per_sec));
+    json.Key("adc_packed")
+        .Number(ratio(row.adc_packed_evals_per_sec,
+                      scalar_row.adc_packed_evals_per_sec));
     json.EndObject();
   }
   json.EndArray();
-  json.Key("adc_packed_best_vs_scalar_strided_speedup")
-      .Number(best_packed_vs_scalar_strided);
-  // Info-only until CI runners stabilize, like the roofline bands.
-  json.Key("adc_packed_band").BeginObject();
-  json.Key("min_speedup_vs_scalar_strided").Number(2.5);
-  json.Key("enforced").Bool(false);
-  json.EndObject();
   json.Key("results").BeginArray();
   for (const KernelResult& r : results) {
     json.BeginObject();

@@ -50,7 +50,8 @@ void BM_AnnPqAdcScan(benchmark::State& state) {
   const ann::Matrix data = ann::GenClustered(n, 96, 8, 0.4f, rng);
   const ann::ProductQuantizer pq(data, 12, rng, 4);
   const std::vector<uint8_t> codes = pq.EncodeAll(data);
-  const auto table = pq.BuildAdcTable(data.Row(0));
+  std::vector<float> table;
+  pq.BuildAdcTable(data.Row(0), table);
   for (auto _ : state) {
     float sum = 0.0f;
     for (size_t i = 0; i < n; ++i) {

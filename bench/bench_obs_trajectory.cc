@@ -378,7 +378,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- Roofline: machine peaks + the four scan shapes. ---
+  // --- Roofline: machine peaks + the five scan shapes. ---
   retrieval::ProbeOptions probe;
   retrieval::KernelProfileOptions kprof;
   if (quick) {
@@ -393,7 +393,7 @@ int main(int argc, char** argv) {
   const retrieval::KernelProfiler profiler(peaks, kprof);
   const std::vector<retrieval::KernelRooflinePoint> points = {
       profiler.ProfileL2Batch(), profiler.ProfileIpBatch(),
-      profiler.ProfileL2Tile(), profiler.ProfileAdc(),
+      profiler.ProfileL2Tile(), profiler.ProfilePqTableBuild(),
       profiler.ProfileAdcPacked()};
 
   // --- Measured-cost optimizer pass (informational: wall-clock

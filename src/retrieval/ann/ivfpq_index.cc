@@ -69,6 +69,8 @@ IvfPqIndex::SearchLists(const float* query, size_t k, int rerank,
   const size_t pool = std::max(k, static_cast<size_t>(rerank));
   TopK candidates(pool);
   std::vector<float> shifted(dim);
+  // One table buffer for every probed list of this query.
+  std::vector<float> table;
   for (int32_t cluster : clusters) {
     const auto c = static_cast<size_t>(cluster);
     const float* centroid = centroids_.Row(c);
@@ -79,7 +81,7 @@ IvfPqIndex::SearchLists(const float* query, size_t k, int rerank,
       }
       table_query = shifted.data();
     }
-    const std::vector<float> table = pq_->BuildAdcTable(table_query);
+    pq_->BuildAdcTable(table_query, table);
     const std::vector<int64_t>& list_ids = ids_[c];
     kernels::ScanCodesPackedIntoTopK(table.data(), codes_[c].data(),
                                      list_ids.size(), pq_->CodeBytes(),

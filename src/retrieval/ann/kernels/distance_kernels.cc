@@ -49,25 +49,30 @@ void ScalarDotTile(const float* queries, size_t num_queries,
   }
 }
 
-void ScalarAdcBatch(const float* table, const uint8_t* codes,
-                    size_t num_codes, size_t m, float* out) {
-  // num_codes == 0 writes nothing and m == 0 yields 0.0f per code by
-  // construction — the documented degenerate-shape contract.
-  for (size_t i = 0; i < num_codes; ++i) {
-    const uint8_t* code = codes + i * m;
-    float dist = 0.0f;
-    for (size_t s = 0; s < m; ++s) {
-      dist += table[s * kAdcCentroids + code[s]];
+void ScalarL2Cols(const float* query, const float* cols, size_t num_cols,
+                  size_t dim, float* out) {
+  // d outer, rows inner: each out[i] takes the same zero-start,
+  // d-ordered sub/mul/add sequence as L2Sq, and the inner loop runs
+  // over independent rows, so the compiler may vectorize it without
+  // reassociating anything.
+  for (size_t i = 0; i < num_cols; ++i) {
+    out[i] = 0.0f;
+  }
+  for (size_t d = 0; d < dim; ++d) {
+    const float q = query[d];
+    const float* col = cols + d * num_cols;
+    for (size_t i = 0; i < num_cols; ++i) {
+      const float diff = q - col[i];
+      out[i] += diff * diff;
     }
-    out[i] = dist;
   }
 }
 
 void ScalarAdcPacked(const float* table, const uint8_t* packed,
                      size_t num_codes, size_t m, float* out) {
   // Per code: walk its lane down the block's subspace-major rows in
-  // s order — the same accumulation sequence as ScalarAdcBatch, so
-  // packed and strided distances are bit-identical.
+  // s order. num_codes == 0 writes nothing and m == 0 yields 0.0f per
+  // code by construction — the documented degenerate-shape contract.
   for (size_t i = 0; i < num_codes; ++i) {
     const uint8_t* block =
         packed + (i / kPackedBlock) * kPackedBlock * m;
@@ -81,8 +86,8 @@ void ScalarAdcPacked(const float* table, const uint8_t* packed,
 }
 
 const KernelTable kScalarTable = {
-    "scalar",       ScalarL2Batch, ScalarDotBatch,  ScalarL2Tile,
-    ScalarDotTile,  ScalarAdcBatch, ScalarAdcPacked,
+    "scalar",      ScalarL2Batch, ScalarDotBatch,  ScalarL2Tile,
+    ScalarDotTile, ScalarL2Cols,  ScalarAdcPacked,
 };
 
 // ---------------------------------------------------------------------------
@@ -323,31 +328,6 @@ ScanRowsIntoTopK(Metric metric, const float* query, const float* rows,
 }
 
 void
-ScanCodesIntoTopK(const float* table, const uint8_t* codes, size_t num_codes,
-                  size_t m, const int64_t* ids, int64_t base_id, TopK& topk,
-                  std::vector<float>& scratch) {
-  if (num_codes == 0) {
-    return;
-  }
-  const size_t tile = num_codes < kScanTile ? num_codes : kScanTile;
-  if (scratch.size() < tile) {
-    scratch.resize(tile);
-  }
-  const KernelTable& kernels = Active();
-  for (size_t start = 0; start < num_codes; start += tile) {
-    const size_t count =
-        num_codes - start < tile ? num_codes - start : tile;
-    kernels.adc_batch(table, codes + start * m, count, m, scratch.data());
-    for (size_t i = 0; i < count; ++i) {
-      const size_t code = start + i;
-      topk.Push(scratch[i],
-                ids != nullptr ? ids[code]
-                               : base_id + static_cast<int64_t>(code));
-    }
-  }
-}
-
-void
 ScanCodesPackedIntoTopK(const float* table, const uint8_t* packed,
                         size_t num_codes, size_t m, const int64_t* ids,
                         int64_t base_id, TopK& topk,
@@ -445,20 +425,33 @@ ArgMinL2(const float* query, const float* rows, size_t num_rows, size_t dim,
   return best;
 }
 
+size_t
+ArgMinL2Cols(const float* query, const float* cols, size_t num_cols,
+             size_t dim, std::vector<float>& scratch, float* min_dist) {
+  RAGO_CHECK(num_cols > 0, "ArgMinL2Cols requires at least one row");
+  if (scratch.size() < num_cols) {
+    scratch.resize(num_cols);
+  }
+  Active().l2sq_cols(query, cols, num_cols, dim, scratch.data());
+  size_t best = 0;
+  for (size_t i = 1; i < num_cols; ++i) {
+    // Strict < keeps the first occurrence of the minimum.
+    if (scratch[i] < scratch[best]) {
+      best = i;
+    }
+  }
+  if (min_dist != nullptr) {
+    *min_dist = scratch[best];
+  }
+  return best;
+}
+
 void
 ScanRowsIntoTopK(Metric metric, const float* query, const float* rows,
                  size_t num_rows, size_t dim, const int64_t* ids,
                  int64_t base_id, TopK& topk) {
   ScanRowsIntoTopK(metric, query, rows, num_rows, dim, ids, base_id, topk,
                    TlsScratch());
-}
-
-void
-ScanCodesIntoTopK(const float* table, const uint8_t* codes, size_t num_codes,
-                  size_t m, const int64_t* ids, int64_t base_id,
-                  TopK& topk) {
-  ScanCodesIntoTopK(table, codes, num_codes, m, ids, base_id, topk,
-                    TlsScratch());
 }
 
 void
@@ -473,6 +466,12 @@ size_t
 ArgMinL2(const float* query, const float* rows, size_t num_rows, size_t dim,
          float* min_dist) {
   return ArgMinL2(query, rows, num_rows, dim, TlsScratch(), min_dist);
+}
+
+size_t
+ArgMinL2Cols(const float* query, const float* cols, size_t num_cols,
+             size_t dim, float* min_dist) {
+  return ArgMinL2Cols(query, cols, num_cols, dim, TlsScratch(), min_dist);
 }
 
 }  // namespace rago::ann::kernels

@@ -2,20 +2,22 @@
  * @file distance_kernels.h
  * Batched distance-kernel layer with runtime dispatch.
  *
- * Every ANN hot path in this repo reduces to one of three scan shapes:
+ * Every ANN hot path in this repo reduces to one of four scan shapes:
  *  - one query against N contiguous database rows (list / leaf scans),
  *  - a micro-tile of Q queries against N contiguous rows (batched
  *    search, k-means assignment) where each row load is amortized over
  *    all Q queries,
+ *  - one query against N small-dim rows stored column-major (PQ
+ *    codebooks, and k-means centroids below kMinRowSimdDim): dimension
+ *    d of row i sits at `cols[d * N + i]`, so each SIMD lane holds one
+ *    row and accumulates over d — the codebook transposition PQ kernels
+ *    use for ADC table build and encoding, where the row-major kernels
+ *    would run only their scalar remainder,
  *  - an ADC pass of N product-quantizer codes against a prebuilt
- *    lookup table.
- *
- * The ADC pass comes in two layouts: the strided (code-major) layout
- * PQ encoders emit naturally, and a blocked subspace-major "packed"
- * layout (FAISS-style transposition) where each block of kPackedBlock
- * codes stores all first-subspace bytes contiguously, then all second-
- * subspace bytes, and so on — turning the SIMD variants' strided
- * per-code byte loads into one contiguous load per subspace.
+ *    lookup table, over a blocked subspace-major "packed" code layout
+ *    (FAISS-style transposition) where each block of kPackedBlock codes
+ *    stores all first-subspace bytes contiguously, then all second-
+ *    subspace bytes, and so on — one contiguous load per subspace.
  *
  * This header exposes those shapes as a function-pointer kernel table
  * with three implementations: a portable scalar reference, an AVX2/FMA
@@ -45,11 +47,18 @@
  *    reproducibility, force the scalar kernels via
  *    SetForceScalar(true) or the RAGO_FORCE_SCALAR_KERNELS=1
  *    environment variable.
- *  - The ulp caveat never applies to ADC: both ADC kernels accumulate
- *    table entries in subspace order s = 0..m-1 with lane-independent
- *    adds in every variant and both layouts, so ADC distances are
- *    bit-identical across variants — and across the strided and packed
- *    layouts — given the same table.
+ *  - The ulp caveat never applies to the column-major kernel: each
+ *    lane accumulates its row over d = 0..dim-1 in order with a
+ *    separate subtract, multiply and add (no FMA), exactly the
+ *    sequence of the scalar L2Sq, so its distances are bit-identical to
+ *    L2Sq at every dim in every variant. ADC tables built on it (PQ
+ *    sub-space distances) are therefore bit-identical across variants
+ *    at every sub_dim, and so are PQ codes and PQ codebooks.
+ *  - Nor does it apply to ADC: the ADC kernel accumulates table
+ *    entries in subspace order s = 0..m-1 with lane-independent adds in
+ *    every variant, so ADC distances are bit-identical across variants
+ *    — and to the sequential sum over a strided code — given the same
+ *    table.
  *  - Degenerate ADC shapes are well-defined in every variant:
  *    num_codes == 0 writes nothing, m == 0 writes 0.0f per code.
  */
@@ -67,6 +76,14 @@ namespace rago::ann::kernels {
 
 /// Centroids per PQ subspace the ADC kernels assume (8-bit codes).
 inline constexpr size_t kAdcCentroids = 256;
+
+/**
+ * Smallest dim at which any variant's row-major float kernels run a
+ * SIMD body (the AVX2 width). Below it every variant computes the
+ * scalar remainder alone, so the column-major kernel gives the same
+ * bits, faster.
+ */
+inline constexpr size_t kMinRowSimdDim = 8;
 
 /**
  * Codes per block of the packed (subspace-major) ADC layout. Within a
@@ -103,23 +120,25 @@ struct KernelTable {
                    float* out);
 
   /**
-   * ADC scan, strided (code-major) layout: out[i] = sum over s in
-   * [0, m) of table[s * kAdcCentroids + codes[i * m + s]].
-   * num_codes == 0 writes nothing; m == 0 writes 0.0f per code.
+   * Column-major rows: out[i] = sum over d in [0, dim) of
+   * (query[d] - cols[d * num_cols + i])^2, accumulated in d order with
+   * no FMA — bit-identical to L2Sq(query, row i, dim) in every
+   * variant. num_cols == 0 writes nothing; dim == 0 writes 0.0f per
+   * row.
    */
-  void (*adc_batch)(const float* table, const uint8_t* codes,
-                    size_t num_codes, size_t m, float* out);
+  void (*l2sq_cols)(const float* query, const float* cols, size_t num_cols,
+                    size_t dim, float* out);
 
   /**
    * ADC scan, packed (blocked subspace-major) layout: `packed` holds
    * ceil(num_codes / kPackedBlock) zero-padded blocks of
    * kPackedBlock * m bytes where byte
    * `block * kPackedBlock * m + s * kPackedBlock + j` is subspace `s`
-   * of code `block * kPackedBlock + j`. Distances are bit-identical to
-   * adc_batch over the unpacked codes (same subspace-order, lane-
-   * independent accumulation). Exactly `num_codes` outputs are
-   * written. num_codes == 0 writes nothing; m == 0 writes 0.0f per
-   * code.
+   * of code `block * kPackedBlock + j`. out[i] = sum over s in [0, m)
+   * of table[s * kAdcCentroids + (subspace s of code i)], added in s
+   * order with lane-independent adds in every variant. Exactly
+   * `num_codes` outputs are written. num_codes == 0 writes nothing;
+   * m == 0 writes 0.0f per code.
    */
   void (*adc_packed)(const float* table, const uint8_t* packed,
                      size_t num_codes, size_t m, float* out);
@@ -202,21 +221,11 @@ void ScanRowsIntoTopK(Metric metric, const float* query, const float* rows,
                       std::vector<float>& scratch);
 
 /**
- * ADC-scans `num_codes` m-byte codes against `table` (m x kAdcCentroids,
- * subspace-major) and offers every distance to `topk` in code order.
- * Candidate ids are `ids[i]` when non-null, else `base_id + i`.
- */
-void ScanCodesIntoTopK(const float* table, const uint8_t* codes,
-                       size_t num_codes, size_t m, const int64_t* ids,
-                       int64_t base_id, TopK& topk,
-                       std::vector<float>& scratch);
-
-/**
  * ADC-scans `num_codes` codes stored in the packed (blocked
  * subspace-major) layout — see KernelTable::adc_packed for the exact
- * byte layout — and offers every distance to `topk` in code order.
- * Bit-identical results (distances, ids, tie-breaks) to
- * ScanCodesIntoTopK over the unpacked codes in every variant.
+ * byte layout — against `table` (m x kAdcCentroids, subspace-major)
+ * and offers every distance to `topk` in code order, so results
+ * (distances, ids, tie-breaks) are the same in every variant.
  * Candidate ids are `ids[i]` when non-null, else `base_id + i`.
  */
 void ScanCodesPackedIntoTopK(const float* table, const uint8_t* packed,
@@ -248,6 +257,15 @@ size_t ArgMinL2(const float* query, const float* rows, size_t num_rows,
                 size_t dim, std::vector<float>& scratch,
                 float* min_dist = nullptr);
 
+/**
+ * ArgMinL2 over `num_cols` column-major rows (the l2sq_cols layout),
+ * with the same first-index-wins tie-break. `num_cols` must be
+ * positive.
+ */
+size_t ArgMinL2Cols(const float* query, const float* cols, size_t num_cols,
+                    size_t dim, std::vector<float>& scratch,
+                    float* min_dist = nullptr);
+
 // ---------------------------------------------------------------------------
 // Overloads backed by one per-thread reusable scratch buffer. The scan
 // helpers never nest (none calls another), so a single thread-local
@@ -260,16 +278,15 @@ void ScanRowsIntoTopK(Metric metric, const float* query, const float* rows,
                       size_t num_rows, size_t dim, const int64_t* ids,
                       int64_t base_id, TopK& topk);
 
-void ScanCodesIntoTopK(const float* table, const uint8_t* codes,
-                       size_t num_codes, size_t m, const int64_t* ids,
-                       int64_t base_id, TopK& topk);
-
 void ScanCodesPackedIntoTopK(const float* table, const uint8_t* packed,
                              size_t num_codes, size_t m, const int64_t* ids,
                              int64_t base_id, TopK& topk);
 
 size_t ArgMinL2(const float* query, const float* rows, size_t num_rows,
                 size_t dim, float* min_dist = nullptr);
+
+size_t ArgMinL2Cols(const float* query, const float* cols, size_t num_cols,
+                    size_t dim, float* min_dist = nullptr);
 
 }  // namespace rago::ann::kernels
 

@@ -15,9 +15,12 @@
  *    the scalar kernel, so tiny dims are bit-identical to scalar (the
  *    TU builds with -ffp-contract=off so the compiler cannot fuse
  *    these scalar loops into FMA and break that identity).
- *  - The ADC kernels add table entries in subspace order, matching
- *    scalar summation order bit-for-bit: the strided kernel gathers
- *    per subspace across 8 codes, the packed kernel loads each
+ *  - The column-major kernel puts one row in each lane and runs the
+ *    scalar L2Sq sequence per lane (zero start, then a separate
+ *    _mm256_sub_ps / _mm256_mul_ps / _mm256_add_ps per dim, never
+ *    _mm256_fmadd_ps), so it is bit-identical to scalar at every dim.
+ *  - The packed ADC kernel adds table entries in subspace order,
+ *    matching scalar summation order bit-for-bit: it loads each
  *    subspace's 32 contiguous code bytes (the transposed layout's
  *    whole point) and gathers in four 8-lane groups.
  */
@@ -263,39 +266,52 @@ void Avx2DotTile(const float* queries, size_t num_queries, const float* rows,
   }
 }
 
-void Avx2AdcBatch(const float* table, const uint8_t* codes, size_t num_codes,
-                  size_t m, float* out) {
-  size_t i = 0;
-  // Eight codes per pass: one gather per subspace pulls the table
-  // entry of each code's byte; lane-wise adds preserve scalar
-  // summation order, so results are bit-identical to scalar.
-  for (; i + 8 <= num_codes; i += 8) {
-    const uint8_t* c = codes + i * m;
-    __m256 acc = _mm256_setzero_ps();
-    for (size_t s = 0; s < m; ++s) {
-      const __m256i idx = _mm256_setr_epi32(
-          c[0 * m + s], c[1 * m + s], c[2 * m + s], c[3 * m + s],
-          c[4 * m + s], c[5 * m + s], c[6 * m + s], c[7 * m + s]);
-      acc = _mm256_add_ps(
-          acc, _mm256_i32gather_ps(table + s * kAdcCentroids, idx, 4));
-    }
-    _mm256_storeu_ps(out + i, acc);
+/// Rows [i, i + 8 * kGroups) of a column-major block: kGroups
+/// independent 8-lane accumulators, each lane one row, d in order.
+template <size_t kGroups>
+inline void Avx2L2ColsGroups(const float* query, const float* cols,
+                             size_t num_cols, size_t dim, size_t i,
+                             float* out) {
+  __m256 acc[kGroups];
+  for (size_t g = 0; g < kGroups; ++g) {
+    acc[g] = _mm256_setzero_ps();
   }
-  for (; i < num_codes; ++i) {
-    const uint8_t* code = codes + i * m;
-    float dist = 0.0f;
-    for (size_t s = 0; s < m; ++s) {
-      dist += table[s * kAdcCentroids + code[s]];
+  for (size_t d = 0; d < dim; ++d) {
+    const __m256 q = _mm256_set1_ps(query[d]);
+    const float* col = cols + d * num_cols + i;
+    for (size_t g = 0; g < kGroups; ++g) {
+      const __m256 diff = _mm256_sub_ps(q, _mm256_loadu_ps(col + 8 * g));
+      acc[g] = _mm256_add_ps(acc[g], _mm256_mul_ps(diff, diff));
     }
-    out[i] = dist;
+  }
+  for (size_t g = 0; g < kGroups; ++g) {
+    _mm256_storeu_ps(out + i + 8 * g, acc[g]);
+  }
+}
+
+void Avx2L2Cols(const float* query, const float* cols, size_t num_cols,
+                size_t dim, float* out) {
+  size_t i = 0;
+  // 32 rows per pass: four independent add chains hide add latency.
+  for (; i + 32 <= num_cols; i += 32) {
+    Avx2L2ColsGroups<4>(query, cols, num_cols, dim, i, out);
+  }
+  for (; i + 8 <= num_cols; i += 8) {
+    Avx2L2ColsGroups<1>(query, cols, num_cols, dim, i, out);
+  }
+  for (; i < num_cols; ++i) {
+    float sum = 0.0f;
+    for (size_t d = 0; d < dim; ++d) {
+      const float diff = query[d] - cols[d * num_cols + i];
+      sum += diff * diff;
+    }
+    out[i] = sum;
   }
 }
 
 /// One packed block (32 codes): four 8-lane accumulators. Per
-/// subspace the 32 code bytes are one contiguous 32-byte load instead
-/// of the strided per-code byte reads Avx2AdcBatch pays before each
-/// gather; lane-wise adds in s order keep results bit-identical to
-/// scalar.
+/// subspace the 32 code bytes are one contiguous 32-byte load; lane-
+/// wise adds in s order keep results bit-identical to scalar.
 inline void Avx2AdcPackedBlock(const float* table, const uint8_t* block,
                                size_t m, float* out) {
   __m256 acc0 = _mm256_setzero_ps();
@@ -342,8 +358,8 @@ void Avx2AdcPacked(const float* table, const uint8_t* packed,
 }
 
 const KernelTable kAvx2Table = {
-    "avx2",     Avx2L2Batch, Avx2DotBatch, Avx2L2Tile,
-    Avx2DotTile, Avx2AdcBatch, Avx2AdcPacked,
+    "avx2",      Avx2L2Batch, Avx2DotBatch,  Avx2L2Tile,
+    Avx2DotTile, Avx2L2Cols,  Avx2AdcPacked,
 };
 
 }  // namespace

@@ -15,12 +15,16 @@
  *    the scalar kernel, so tiny dims are bit-identical to scalar (the
  *    TU builds with -ffp-contract=off so the compiler cannot fuse
  *    these scalar loops into FMA and break that identity).
- *  - The ADC kernels add table entries in subspace order with
+ *  - The column-major kernel puts one row in each lane and runs the
+ *    scalar L2Sq sequence per lane (zero start, then a separate
+ *    sub / mul / add per dim, never FMA), so it is bit-identical to
+ *    scalar at every dim; the final partial group uses masked loads
+ *    and stores.
+ *  - The packed ADC kernel adds table entries in subspace order with
  *    lane-independent adds, matching scalar summation order
- *    bit-for-bit: the strided kernel gathers per subspace across 16
- *    codes, the packed kernel loads each subspace's 32 contiguous code
- *    bytes and gathers in two 16-lane groups, with a masked store for
- *    the final partial block.
+ *    bit-for-bit: it loads each subspace's 32 contiguous code bytes and
+ *    gathers in two 16-lane groups, with a masked store for the final
+ *    partial block.
  */
 #include "retrieval/ann/kernels/avx512_kernels.h"
 
@@ -269,36 +273,49 @@ void Avx512DotTile(const float* queries, size_t num_queries, const float* rows,
   }
 }
 
-void Avx512AdcBatch(const float* table, const uint8_t* codes,
-                    size_t num_codes, size_t m, float* out) {
-  size_t i = 0;
-  // Sixteen codes per pass: one gather per subspace pulls the table
-  // entry of each code's byte. The indices are assembled with scalar
-  // byte reads (the codes are strided by m, so there is no contiguous
-  // vector load to be had — that is exactly what the packed layout
-  // fixes); lane-wise adds preserve scalar summation order, so results
-  // are bit-identical to scalar.
-  for (; i + 16 <= num_codes; i += 16) {
-    const uint8_t* c = codes + i * m;
-    __m512 acc = _mm512_setzero_ps();
-    for (size_t s = 0; s < m; ++s) {
-      const __m512i idx = _mm512_set_epi32(
-          c[15 * m + s], c[14 * m + s], c[13 * m + s], c[12 * m + s],
-          c[11 * m + s], c[10 * m + s], c[9 * m + s], c[8 * m + s],
-          c[7 * m + s], c[6 * m + s], c[5 * m + s], c[4 * m + s],
-          c[3 * m + s], c[2 * m + s], c[1 * m + s], c[0 * m + s]);
-      acc = _mm512_add_ps(
-          acc, _mm512_i32gather_ps(idx, table + s * kAdcCentroids, 4));
-    }
-    _mm512_storeu_ps(out + i, acc);
+/// Rows [i, i + 16 * kGroups) of a column-major block: kGroups
+/// independent 16-lane accumulators, each lane one row, d in order.
+/// `tail` masks the loads and the store of the last group (all ones
+/// for a full group); masked-off lanes are never read.
+template <size_t kGroups>
+inline void Avx512L2ColsGroups(const float* query, const float* cols,
+                               size_t num_cols, size_t dim, size_t i,
+                               __mmask16 tail, float* out) {
+  __m512 acc[kGroups];
+  for (size_t g = 0; g < kGroups; ++g) {
+    acc[g] = _mm512_setzero_ps();
   }
-  for (; i < num_codes; ++i) {
-    const uint8_t* code = codes + i * m;
-    float dist = 0.0f;
-    for (size_t s = 0; s < m; ++s) {
-      dist += table[s * kAdcCentroids + code[s]];
+  for (size_t d = 0; d < dim; ++d) {
+    const __m512 q = _mm512_set1_ps(query[d]);
+    const float* col = cols + d * num_cols + i;
+    for (size_t g = 0; g < kGroups; ++g) {
+      const __mmask16 mask = g + 1 == kGroups ? tail : __mmask16{0xFFFF};
+      const __m512 diff =
+          _mm512_sub_ps(q, _mm512_maskz_loadu_ps(mask, col + 16 * g));
+      acc[g] = _mm512_add_ps(acc[g], _mm512_mul_ps(diff, diff));
     }
-    out[i] = dist;
+  }
+  for (size_t g = 0; g + 1 < kGroups; ++g) {
+    _mm512_storeu_ps(out + i + 16 * g, acc[g]);
+  }
+  _mm512_mask_storeu_ps(out + i + 16 * (kGroups - 1), tail,
+                        acc[kGroups - 1]);
+}
+
+void Avx512L2Cols(const float* query, const float* cols, size_t num_cols,
+                  size_t dim, float* out) {
+  size_t i = 0;
+  // 64 rows per pass: four independent add chains hide add latency.
+  for (; i + 64 <= num_cols; i += 64) {
+    Avx512L2ColsGroups<4>(query, cols, num_cols, dim, i, 0xFFFF, out);
+  }
+  for (; i + 16 <= num_cols; i += 16) {
+    Avx512L2ColsGroups<1>(query, cols, num_cols, dim, i, 0xFFFF, out);
+  }
+  if (i < num_cols) {
+    const auto tail =
+        static_cast<__mmask16>((1u << (num_cols - i)) - 1u);
+    Avx512L2ColsGroups<1>(query, cols, num_cols, dim, i, tail, out);
   }
 }
 
@@ -356,7 +373,7 @@ void Avx512AdcPacked(const float* table, const uint8_t* packed,
 
 const KernelTable kAvx512Table = {
     "avx512",      Avx512L2Batch, Avx512DotBatch, Avx512L2Tile,
-    Avx512DotTile, Avx512AdcBatch, Avx512AdcPacked,
+    Avx512DotTile, Avx512L2Cols,  Avx512AdcPacked,
 };
 
 }  // namespace

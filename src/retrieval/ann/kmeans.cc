@@ -90,38 +90,60 @@ TrainKMeans(const Matrix& data, int k, Rng& rng, const KMeansOptions& options) {
   std::vector<double> sums(num_centroids * dim);
   std::vector<int64_t> counts(num_centroids);
   std::vector<float> tile_dists(kAssignTile * num_centroids);
+  // Below kMinRowSimdDim every variant's tile kernel runs its scalar
+  // remainder alone; the column-major kernel gives the same bits with
+  // one centroid per SIMD lane.
+  const bool column_major = dim < kernels::kMinRowSimdDim;
+  std::vector<float> centroid_cols(column_major ? dim * num_centroids : 0);
   double prev_inertia = std::numeric_limits<double>::max();
 
   for (int iter = 0; iter < options.max_iterations; ++iter) {
     result.iterations_run = iter + 1;
-    // Assignment step: micro-tile the points against the centroid
-    // block, then argmin each point's distance row (first index wins
-    // ties, like the sequential scan this replaces).
+    // Assignment step: argmin each point's distances to the centroid
+    // block (first index wins ties, like the sequential scan this
+    // replaces).
     double inertia = 0.0;
     std::vector<size_t> farthest_per_cluster(num_centroids, 0);
     std::vector<float> farthest_dist(num_centroids, -1.0f);
-    for (size_t start = 0; start < n; start += kAssignTile) {
-      const size_t count =
-          n - start < kAssignTile ? n - start : kAssignTile;
-      kernels::DistanceTile(Metric::kL2, data.Row(start), count,
-                            result.centroids.data(), num_centroids, dim,
-                            tile_dists.data());
-      for (size_t j = 0; j < count; ++j) {
-        const size_t i = start + j;
-        const float* dists = tile_dists.data() + j * num_centroids;
-        size_t c = 0;
-        float d = dists[0];
-        for (size_t cc = 1; cc < num_centroids; ++cc) {
-          if (dists[cc] < d) {
-            d = dists[cc];
-            c = cc;
-          }
+    auto assign = [&](size_t i, size_t c, float d) {
+      result.assignments[i] = static_cast<int32_t>(c);
+      inertia += d;
+      if (d > farthest_dist[c]) {
+        farthest_dist[c] = d;
+        farthest_per_cluster[c] = i;
+      }
+    };
+    if (column_major) {
+      for (size_t c = 0; c < num_centroids; ++c) {
+        const float* centroid = result.centroids.Row(c);
+        for (size_t d = 0; d < dim; ++d) {
+          centroid_cols[d * num_centroids + c] = centroid[d];
         }
-        result.assignments[i] = static_cast<int32_t>(c);
-        inertia += d;
-        if (d > farthest_dist[c]) {
-          farthest_dist[c] = d;
-          farthest_per_cluster[c] = i;
+      }
+      for (size_t i = 0; i < n; ++i) {
+        float d = 0.0f;
+        const size_t c =
+            kernels::ArgMinL2Cols(data.Row(i), centroid_cols.data(),
+                                  num_centroids, dim, tile_dists, &d);
+        assign(i, c, d);
+      }
+    } else {
+      // Micro-tile the points against the centroid block.
+      for (size_t start = 0; start < n; start += kAssignTile) {
+        const size_t count =
+            n - start < kAssignTile ? n - start : kAssignTile;
+        kernels::DistanceTile(Metric::kL2, data.Row(start), count,
+                              result.centroids.data(), num_centroids, dim,
+                              tile_dists.data());
+        for (size_t j = 0; j < count; ++j) {
+          const float* dists = tile_dists.data() + j * num_centroids;
+          size_t c = 0;
+          for (size_t cc = 1; cc < num_centroids; ++cc) {
+            if (dists[cc] < dists[c]) {
+              c = cc;
+            }
+          }
+          assign(start + j, c, dists[c]);
         }
       }
     }

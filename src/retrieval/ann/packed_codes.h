@@ -12,8 +12,8 @@
  * `b * kPackedBlock + j`, and the final block is zero-padded to full
  * width (byte 0 is a valid table index, so kernels may compute the
  * padding lanes and discard them). Scanning goes through
- * kernels::ScanCodesPackedIntoTopK, which is bit-identical to the
- * strided scan in every kernel variant.
+ * kernels::ScanCodesPackedIntoTopK, whose distances equal the
+ * subspace-order sum over each strided code in every kernel variant.
  */
 #ifndef RAGO_RETRIEVAL_ANN_PACKED_CODES_H
 #define RAGO_RETRIEVAL_ANN_PACKED_CODES_H

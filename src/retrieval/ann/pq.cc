@@ -34,11 +34,13 @@ ProductQuantizer::ProductQuantizer(const Matrix& data, int m, Rng& rng,
       std::copy(row, row + sub_dim_, dst);
     }
     const KMeansResult trained = TrainKMeans(sub, kCentroids, rng, options);
-    for (int c = 0; c < kCentroids; ++c) {
-      const float* src = trained.centroids.Row(static_cast<size_t>(c));
-      float* dst = codebooks_.data() +
-                   (static_cast<size_t>(s) * kCentroids + c) * sub_dim_;
-      std::copy(src, src + sub_dim_, dst);
+    float* block = codebooks_.data() +
+                   static_cast<size_t>(s) * sub_dim_ * kCentroids;
+    for (size_t c = 0; c < kCentroids; ++c) {
+      const float* centroid = trained.centroids.Row(c);
+      for (size_t d = 0; d < sub_dim_; ++d) {
+        block[d * kCentroids + c] = centroid[d];
+      }
     }
   }
 }
@@ -46,12 +48,10 @@ ProductQuantizer::ProductQuantizer(const Matrix& data, int m, Rng& rng,
 void
 ProductQuantizer::Encode(const float* vec, uint8_t* out) const {
   for (int s = 0; s < m_; ++s) {
-    const float* sub_vec = vec + static_cast<size_t>(s) * sub_dim_;
-    // Each subspace's 256 centroids are one contiguous block; argmin
-    // over the batched scan keeps the first-wins tie-break of the old
-    // sequential loop.
-    out[s] = static_cast<uint8_t>(
-        kernels::ArgMinL2(sub_vec, Centroid(s, 0), kCentroids, sub_dim_));
+    // First-wins argmin over the subspace's 256 centroid lanes.
+    out[s] = static_cast<uint8_t>(kernels::ArgMinL2Cols(
+        vec + static_cast<size_t>(s) * sub_dim_, Codebook(s), kCentroids,
+        sub_dim_));
   }
 }
 
@@ -68,24 +68,24 @@ ProductQuantizer::EncodeAll(const Matrix& data) const {
 void
 ProductQuantizer::Decode(const uint8_t* code, float* out) const {
   for (int s = 0; s < m_; ++s) {
-    const float* centroid = Centroid(s, code[s]);
+    const float* block = Codebook(s);
     float* dst = out + static_cast<size_t>(s) * sub_dim_;
-    std::copy(centroid, centroid + sub_dim_, dst);
+    for (size_t d = 0; d < sub_dim_; ++d) {
+      dst[d] = block[d * kCentroids + code[s]];
+    }
   }
 }
 
-std::vector<float>
-ProductQuantizer::BuildAdcTable(const float* query) const {
-  std::vector<float> table(static_cast<size_t>(m_) * kCentroids);
+void
+ProductQuantizer::BuildAdcTable(const float* query,
+                                std::vector<float>& table) const {
+  table.resize(static_cast<size_t>(m_) * kCentroids);
+  const kernels::KernelTable& active = kernels::Active();
   for (int s = 0; s < m_; ++s) {
-    const float* sub_query = query + static_cast<size_t>(s) * sub_dim_;
-    // One batched scan fills the subspace's 256 table entries.
-    kernels::Active().l2sq_batch(sub_query, Centroid(s, 0), kCentroids,
-                                 sub_dim_,
-                                 table.data() +
-                                     static_cast<size_t>(s) * kCentroids);
+    active.l2sq_cols(query + static_cast<size_t>(s) * sub_dim_, Codebook(s),
+                     kCentroids, sub_dim_,
+                     table.data() + static_cast<size_t>(s) * kCentroids);
   }
-  return table;
 }
 
 float
@@ -93,9 +93,11 @@ ProductQuantizer::AdcDistance(const std::vector<float>& table,
                               const uint8_t* code) const {
   RAGO_CHECK(table.size() == static_cast<size_t>(m_) * kCentroids,
              "ADC table size mismatch");
+  // Subspace-order sum: the same bits as the packed ADC kernel.
   float dist = 0.0f;
-  kernels::Active().adc_batch(table.data(), code, /*num_codes=*/1,
-                              static_cast<size_t>(m_), &dist);
+  for (int s = 0; s < m_; ++s) {
+    dist += table[static_cast<size_t>(s) * kCentroids + code[s]];
+  }
   return dist;
 }
 

@@ -7,6 +7,14 @@
  * paper's hyperscale database compresses 768-dim vectors to 96 bytes;
  * queries scan codes via ADC lookup tables, which is exactly the
  * byte-stream workload the ScaNN cost model prices.
+ *
+ * Codebook layout: each subspace's codebook is stored transposed,
+ * `[s][d][256]` — float `(s * sub_dim + d) * 256 + c` is dimension d of
+ * centroid c of subspace s. Centroids are the lanes, so ADC table
+ * build and encoding run the column-major kernel
+ * (kernels::KernelTable::l2sq_cols), which is bit-identical to the
+ * scalar L2Sq in every kernel variant at every sub_dim. Decode reads a
+ * centroid back with a stride of 256. Only this one layout is kept.
  */
 #ifndef RAGO_RETRIEVAL_ANN_PQ_H
 #define RAGO_RETRIEVAL_ANN_PQ_H
@@ -46,10 +54,12 @@ class ProductQuantizer {
   void Decode(const uint8_t* code, float* out) const;
 
   /**
-   * Builds the ADC lookup table for `query`: m*256 partial squared
-   * distances, laid out subspace-major.
+   * Builds the ADC lookup table for `query` into `table`: m*256
+   * partial squared distances, laid out subspace-major. `table` is
+   * resized to m*256, so a buffer reused across calls is allocated
+   * once.
    */
-  std::vector<float> BuildAdcTable(const float* query) const;
+  void BuildAdcTable(const float* query, std::vector<float>& table) const;
 
   /// ADC distance of one code against a prebuilt table.
   float AdcDistance(const std::vector<float>& table,
@@ -66,12 +76,13 @@ class ProductQuantizer {
   int m_ = 0;
   size_t dim_ = 0;
   size_t sub_dim_ = 0;
-  /// Codebooks: m matrices of kCentroids x sub_dim, flattened.
+  /// Transposed codebooks, `[s][d][kCentroids]` (see the file comment).
   std::vector<float> codebooks_;
 
-  const float* Centroid(int subspace, int centroid) const {
+  /// Subspace `s`'s sub_dim x kCentroids column-major block.
+  const float* Codebook(int subspace) const {
     return codebooks_.data() +
-           (static_cast<size_t>(subspace) * kCentroids + centroid) * sub_dim_;
+           static_cast<size_t>(subspace) * sub_dim_ * kCentroids;
   }
 };
 

@@ -114,7 +114,8 @@ ScannTree::Search(const float* query, size_t k, int beam, int rerank) const {
   }
 
   // ADC scan of the selected leaves.
-  const std::vector<float> table = pq_->BuildAdcTable(query);
+  std::vector<float> table;
+  pq_->BuildAdcTable(query, table);
   const size_t pool = std::max(k, static_cast<size_t>(rerank));
   TopK candidates(pool);
   for (const Node* leaf : frontier) {

@@ -150,17 +150,20 @@ AccountTileScan(ann::Metric metric, size_t num_queries, size_t num_rows,
 }
 
 KernelWork
-AccountAdcScan(size_t num_codes, size_t m) {
-  RAGO_REQUIRE(num_codes > 0 && m > 0, "ADC shape must be positive");
+AccountPqTableBuild(size_t num_queries, size_t m, size_t sub_dim) {
+  RAGO_REQUIRE(num_queries > 0 && m > 0 && sub_dim > 0,
+               "table-build shape must be positive");
+  const double entries =
+      static_cast<double>(num_queries) * m * ann::kernels::kAdcCentroids;
   KernelWork work;
-  // Codes stream once (1 byte per subspace); the m x 256 lookup table
-  // is cache-resident and counted once; one float written per code.
-  work.bytes = static_cast<double>(num_codes) * m +
-               static_cast<double>(m) * ann::kernels::kAdcCentroids *
+  // Codebooks once, every query read once, every table entry written.
+  work.bytes = static_cast<double>(m) * sub_dim *
+                   ann::kernels::kAdcCentroids * sizeof(float) +
+               static_cast<double>(num_queries) * m * sub_dim *
                    sizeof(float) +
-               static_cast<double>(num_codes) * sizeof(float);
-  // One table-lookup accumulation per (code, subspace).
-  work.flops = static_cast<double>(num_codes) * m;
+               entries * sizeof(float);
+  // Subtract, multiply and add per (entry, dimension): no FMA.
+  work.flops = entries * sub_dim * 3;
   return work;
 }
 
@@ -171,12 +174,14 @@ AccountAdcPackedScan(size_t num_codes, size_t m) {
                         ann::kernels::kPackedBlock;
   KernelWork work;
   // The packed stream is padded to whole blocks (the tail block's
-  // padding lanes are computed and discarded); table and outputs are
-  // the same as the strided scan.
+  // padding lanes are computed and discarded); the m x 256 lookup
+  // table is cache-resident and counted once; one float written per
+  // code.
   work.bytes = static_cast<double>(blocks) * ann::kernels::kPackedBlock * m +
                static_cast<double>(m) * ann::kernels::kAdcCentroids *
                    sizeof(float) +
                static_cast<double>(num_codes) * sizeof(float);
+  // One table-lookup accumulation per (code, subspace).
   work.flops = static_cast<double>(num_codes) * m;
   return work;
 }
@@ -292,33 +297,38 @@ KernelProfiler::ProfileL2Tile() const {
 }
 
 KernelRooflinePoint
-KernelProfiler::ProfileAdc() const {
-  const size_t codes = options_.num_rows;
-  const size_t m = options_.pq_m;
-  std::vector<uint8_t> code_data(codes * m);
-  Rng rng(Rng::DeriveSeed(options_.seed, 7));
-  for (uint8_t& code : code_data) {
-    code = static_cast<uint8_t>(rng.NextBounded(ann::kernels::kAdcCentroids));
-  }
-  const std::vector<float> table =
-      RandomFloats(m * ann::kernels::kAdcCentroids,
-                   Rng::DeriveSeed(options_.seed, 8));
-  std::vector<float> out(codes);
+KernelProfiler::ProfilePqTableBuild() const {
+  // The serving benchmark's IVF-PQ shape: 32-d vectors in 8 subspaces
+  // of 4 dims, one 256-centroid codebook per subspace.
+  constexpr size_t kSubspaces = 8;
+  constexpr size_t kSubDim = 4;
+  constexpr size_t kLanes = ann::kernels::kAdcCentroids;
+  const size_t queries = std::max<size_t>(1, options_.num_rows / kLanes);
+  const std::vector<float> codebooks = RandomFloats(
+      kSubspaces * kSubDim * kLanes, Rng::DeriveSeed(options_.seed, 9));
+  const std::vector<float> query_data = RandomFloats(
+      queries * kSubspaces * kSubDim, Rng::DeriveSeed(options_.seed, 10));
+  std::vector<float> out(queries * kSubspaces * kLanes);
   auto point = MakePoint(
-      "adc_batch", peaks_, AccountAdcScan(codes, m), options_.repetitions,
-      [&]() {
-        ann::kernels::Active().adc_batch(table.data(), code_data.data(),
-                                         codes, m, out.data());
-        Consume(out[codes / 2]);
+      "pq_table_build", peaks_,
+      AccountPqTableBuild(queries, kSubspaces, kSubDim),
+      options_.repetitions, [&]() {
+        const ann::kernels::KernelTable& active = ann::kernels::Active();
+        for (size_t q = 0; q < queries; ++q) {
+          for (size_t s = 0; s < kSubspaces; ++s) {
+            active.l2sq_cols(
+                query_data.data() + (q * kSubspaces + s) * kSubDim,
+                codebooks.data() + s * kSubDim * kLanes, kLanes, kSubDim,
+                out.data() + (q * kSubspaces + s) * kLanes);
+          }
+        }
+        Consume(out[out.size() / 2]);
       });
   return point;
 }
 
 KernelRooflinePoint
 KernelProfiler::ProfileAdcPacked() const {
-  // Same shape, seed, and table as ProfileAdc so the two points
-  // isolate the layout: strided gathers vs contiguous per-subspace
-  // loads over identical code content.
   const size_t codes = options_.num_rows;
   const size_t m = options_.pq_m;
   std::vector<uint8_t> code_data(codes * m);

@@ -14,8 +14,8 @@
  *     cross).
  *  2. **Kernel accounting** — closed-form bytes-moved and FLOPs for
  *     every scan shape the ANN backends use (L2/IP batch scans, the
- *     Q-row micro-tile, the PQ ADC pass). Pure arithmetic: machine-
- *     invariant and unit-testable.
+ *     Q-row micro-tile, the PQ ADC table build, the PQ ADC pass). Pure
+ *     arithmetic: machine-invariant and unit-testable.
  *  3. **Kernel profiling** — times the *active* kernel table over
  *     synthetic data and combines measurement with accounting into a
  *     roofline point: achieved GB/s, achieved GFLOP/s, arithmetic
@@ -93,11 +93,15 @@ KernelWork AccountBatchScan(ann::Metric metric, size_t num_rows, size_t dim);
 KernelWork AccountTileScan(ann::Metric metric, size_t num_queries,
                            size_t num_rows, size_t dim);
 
-/// ADC pass: `num_codes` m-byte PQ codes against an m x 256 table.
-KernelWork AccountAdcScan(size_t num_codes, size_t m);
+/// ADC table build: `num_queries` queries, each against m transposed
+/// sub_dim x 256 codebooks (the l2sq_cols shape). The codebooks are
+/// cache-resident and counted once; each query's m x 256 table is
+/// written.
+KernelWork AccountPqTableBuild(size_t num_queries, size_t m, size_t sub_dim);
 
-/// Packed (blocked subspace-major) ADC pass: same FLOPs as the strided
-/// scan, but the code stream is padded to whole kPackedBlock blocks.
+/// Packed (blocked subspace-major) ADC pass: `num_codes` m-byte PQ
+/// codes, padded to whole kPackedBlock blocks, against an m x 256
+/// table.
 KernelWork AccountAdcPackedScan(size_t num_codes, size_t m);
 
 /// One profiled kernel: measurement x accounting x roofs.
@@ -143,8 +147,11 @@ class KernelProfiler {
   KernelRooflinePoint ProfileL2Batch() const;
   KernelRooflinePoint ProfileIpBatch() const;
   KernelRooflinePoint ProfileL2Tile() const;
-  KernelRooflinePoint ProfileAdc() const;
-  /// The packed fast-scan layout the ANN indexes actually scan.
+  /// ADC table build in the serving benchmark's IVF-PQ shape (m 8 x
+  /// 256 centroids x sub_dim 4), for num_rows / 256 queries (at least
+  /// one).
+  KernelRooflinePoint ProfilePqTableBuild() const;
+  /// The packed fast-scan layout the ANN indexes scan.
   KernelRooflinePoint ProfileAdcPacked() const;
 
   const MachinePeaks& peaks() const { return peaks_; }

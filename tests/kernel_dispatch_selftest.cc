@@ -5,7 +5,8 @@
  * Prints the compiled/detected/active kernel variants, then checks the
  * dispatch invariants fast enough for every CI job: scalar/dispatched
  * value agreement across remainder-lane dims, batch-vs-tile
- * bit-identity, ADC bit-identity, and the force-scalar override.
+ * bit-identity, column-major (ADC table build) and ADC bit-identity
+ * against scalar references, and the force-scalar override.
  * CTest runs it twice — dispatched, and with RAGO_FORCE_SCALAR_KERNELS
  * set — so the scalar fallback path stays green on non-AVX runners.
  * Exits 0 on success, 1 on the first failed check.
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "retrieval/ann/distance.h"
 #include "retrieval/ann/kernels/distance_kernels.h"
 #include "retrieval/ann/packed_codes.h"
 
@@ -86,6 +88,31 @@ void CheckVariantAgreement() {
   }
 }
 
+void CheckColumnMajorAgreement() {
+  // The ADC table-build shape (256 centroid lanes) plus a partial
+  // group, at sub_dims below, at and above the SIMD widths: the active
+  // variant must equal the scalar L2Sq bit for bit.
+  Rng rng(103);
+  for (size_t dim : {size_t{1}, size_t{4}, size_t{8}, size_t{12},
+                     size_t{17}}) {
+    for (size_t n : {size_t{256}, size_t{21}}) {
+      const std::vector<float> query = RandomBlock(rng, dim);
+      const std::vector<float> cols = RandomBlock(rng, dim * n);
+      std::vector<float> out(n);
+      kernels::Active().l2sq_cols(query.data(), cols.data(), n, dim,
+                                  out.data());
+      std::vector<float> row(dim);
+      for (size_t i = 0; i < n; ++i) {
+        for (size_t d = 0; d < dim; ++d) {
+          row[d] = cols[d * n + i];
+        }
+        Check(out[i] == rago::ann::L2Sq(query.data(), row.data(), dim),
+              "l2sq_cols bit-identical to scalar L2Sq");
+      }
+    }
+  }
+}
+
 void CheckAdcAgreement() {
   Rng rng(102);
   const size_t m = 8;
@@ -96,24 +123,19 @@ void CheckAdcAgreement() {
   for (uint8_t& c : code_block) {
     c = static_cast<uint8_t>(rng.NextBounded(kernels::kAdcCentroids));
   }
-  std::vector<float> scalar_out(codes);
-  std::vector<float> active_out(codes);
-  kernels::ScalarKernels().adc_batch(table.data(), code_block.data(), codes,
-                                     m, scalar_out.data());
-  kernels::Active().adc_batch(table.data(), code_block.data(), codes, m,
-                              active_out.data());
-  for (size_t i = 0; i < codes; ++i) {
-    Check(scalar_out[i] == active_out[i],
-          "adc_batch bit-identical across variants");
-  }
-  // Packed layout: same distances, bit-for-bit, in the active variant.
   const rago::ann::PackedCodes packed(code_block.data(), codes, m);
   std::vector<float> packed_out(codes);
   kernels::Active().adc_packed(table.data(), packed.data(), codes, m,
                                packed_out.data());
   for (size_t i = 0; i < codes; ++i) {
-    Check(scalar_out[i] == packed_out[i],
-          "adc_packed bit-identical to strided adc_batch");
+    // Scalar reference: subspace-order sum over the strided code.
+    float reference = 0.0f;
+    for (size_t s = 0; s < m; ++s) {
+      reference +=
+          table[s * kernels::kAdcCentroids + code_block[i * m + s]];
+    }
+    Check(reference == packed_out[i],
+          "adc_packed bit-identical to the scalar strided sum");
   }
 }
 
@@ -143,6 +165,7 @@ int main() {
   std::printf("  active variant:   %s\n", kernels::Active().name);
 
   CheckVariantAgreement();
+  CheckColumnMajorAgreement();
   CheckAdcAgreement();
   CheckForceScalarOverride();
 

@@ -4,12 +4,14 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
 
 #include "common/check.h"
 #include "common/rng.h"
 #include "retrieval/ann/dataset.h"
 #include "retrieval/ann/distance.h"
+#include "retrieval/ann/kernels/distance_kernels.h"
 #include "retrieval/ann/kmeans.h"
 
 namespace rago::ann {
@@ -55,6 +57,44 @@ TEST(KMeans, DeterministicGivenSeed) {
   const KMeansResult rb = TrainKMeans(data, 8, b);
   EXPECT_EQ(ra.assignments, rb.assignments);
   EXPECT_DOUBLE_EQ(ra.inertia, rb.inertia);
+}
+
+TEST(KMeans, SmallDimTrainingBitIdenticalScalarVsDispatched) {
+  // Below kernels::kMinRowSimdDim the assignment step runs the
+  // column-major kernel, which is bit-identical to scalar L2Sq in every
+  // variant: PQ-codebook-shaped training (4-d, 256 centroids) and a
+  // duplicate-heavy set must give the same centroid bits and
+  // assignments dispatched and forced-scalar.
+  Rng data_rng(31);
+  Matrix clustered = GenClustered(3000, 4, 40, 0.3f, data_rng);
+  Matrix duplicates(600, 4);
+  for (size_t i = 0; i < duplicates.rows(); ++i) {
+    duplicates.CopyRowFrom(clustered, i % 50, i);
+  }
+  struct Case {
+    const Matrix* data;
+    int k;
+  };
+  for (const Case& c : {Case{&clustered, 256}, Case{&duplicates, 64}}) {
+    auto train = [&](bool force_scalar) {
+      const bool previous = kernels::ForceScalarActive();
+      kernels::SetForceScalar(force_scalar);
+      Rng rng(8);
+      KMeansResult result = TrainKMeans(*c.data, c.k, rng);
+      kernels::SetForceScalar(previous);
+      return result;
+    };
+    const KMeansResult scalar = train(true);
+    const KMeansResult dispatched = train(false);
+    EXPECT_EQ(scalar.assignments, dispatched.assignments);
+    EXPECT_EQ(scalar.iterations_run, dispatched.iterations_run);
+    EXPECT_EQ(scalar.inertia, dispatched.inertia);
+    ASSERT_EQ(scalar.centroids.rows(), dispatched.centroids.rows());
+    EXPECT_EQ(std::memcmp(scalar.centroids.data(),
+                          dispatched.centroids.data(),
+                          scalar.centroids.rows() * 4 * sizeof(float)),
+              0);
+  }
 }
 
 TEST(KMeans, CentroidsAreClusterMeans) {

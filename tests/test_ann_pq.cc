@@ -12,6 +12,7 @@
 #include "common/rng.h"
 #include "retrieval/ann/dataset.h"
 #include "retrieval/ann/distance.h"
+#include "retrieval/ann/kernels/distance_kernels.h"
 #include "retrieval/ann/pq.h"
 
 namespace rago::ann {
@@ -20,6 +21,29 @@ namespace {
 Matrix TrainData(size_t n = 1024, size_t dim = 16, uint64_t seed = 3) {
   Rng rng(seed);
   return GenClustered(n, dim, 8, 0.4f, rng);
+}
+
+/// Restores the force-scalar state on scope exit.
+class ForceScalarGuard {
+ public:
+  explicit ForceScalarGuard(bool force)
+      : previous_(kernels::ForceScalarActive()) {
+    kernels::SetForceScalar(force);
+  }
+  ~ForceScalarGuard() { kernels::SetForceScalar(previous_); }
+
+ private:
+  bool previous_;
+};
+
+/// Centroid c of subspace s, read back through Decode.
+std::vector<float> CentroidOf(const ProductQuantizer& pq, int s, int c) {
+  std::vector<uint8_t> code(pq.CodeBytes(), static_cast<uint8_t>(c));
+  std::vector<float> decoded(pq.dim());
+  pq.Decode(code.data(), decoded.data());
+  const auto begin =
+      decoded.begin() + static_cast<std::ptrdiff_t>(s * pq.sub_dim());
+  return {begin, begin + static_cast<std::ptrdiff_t>(pq.sub_dim())};
 }
 
 TEST(Pq, CodeBytesEqualSubspaceCount) {
@@ -93,7 +117,8 @@ TEST(Pq, AdcDistanceEqualsDecodedDistance) {
   std::vector<uint8_t> code(pq.CodeBytes());
   std::vector<float> decoded(data.dim());
   for (size_t q = 0; q < queries.rows(); ++q) {
-    const auto table = pq.BuildAdcTable(queries.Row(q));
+    std::vector<float> table;
+    pq.BuildAdcTable(queries.Row(q), table);
     for (size_t i = 0; i < 16; ++i) {
       pq.Encode(data.Row(i), code.data());
       pq.Decode(code.data(), decoded.data());
@@ -102,6 +127,89 @@ TEST(Pq, AdcDistanceEqualsDecodedDistance) {
       EXPECT_NEAR(adc, exact, 1e-3f * std::max(1.0f, exact));
     }
   }
+}
+
+TEST(Pq, AdcTableBitIdenticalToPerCentroidL2Sq) {
+  // Every table entry is exactly L2Sq(sub-query, centroid), dispatched
+  // and forced-scalar — also at sub_dim 8 and 12, where the row-major
+  // SIMD kernels would reassociate the sum.
+  for (size_t sub_dim : {4u, 8u, 12u}) {
+    const Matrix data = TrainData(512, 4 * sub_dim, 11);
+    Rng rng(12);
+    const ProductQuantizer pq(data, 4, rng, /*kmeans_iterations=*/3);
+    ASSERT_EQ(pq.sub_dim(), sub_dim);
+    Rng qrng(13);
+    const Matrix queries = GenQueriesNear(data, 3, 0.2f, qrng);
+    std::vector<float> reference(4 * ProductQuantizer::kCentroids);
+    for (size_t q = 0; q < queries.rows(); ++q) {
+      const float* query = queries.Row(q);
+      for (int s = 0; s < pq.m(); ++s) {
+        for (int c = 0; c < ProductQuantizer::kCentroids; ++c) {
+          const std::vector<float> centroid = CentroidOf(pq, s, c);
+          reference[static_cast<size_t>(s * ProductQuantizer::kCentroids +
+                                        c)] =
+              L2Sq(query + static_cast<size_t>(s) * sub_dim,
+                   centroid.data(), sub_dim);
+        }
+      }
+      for (bool force_scalar : {true, false}) {
+        ForceScalarGuard guard(force_scalar);
+        std::vector<float> table;
+        pq.BuildAdcTable(query, table);
+        ASSERT_EQ(table.size(), reference.size());
+        for (size_t i = 0; i < table.size(); ++i) {
+          EXPECT_EQ(table[i], reference[i])
+              << "sub_dim " << sub_dim << " entry " << i
+              << (force_scalar ? " scalar" : " dispatched");
+        }
+      }
+    }
+  }
+}
+
+/// Trains a 4-subspace PQ on `data`, then checks Encode against a
+/// first-wins argmin of L2Sq over Decode'd centroids, dispatched and
+/// forced-scalar.
+void ExpectEncodeIsFirstWinsArgMin(const Matrix& data) {
+  Rng rng(15);
+  const ProductQuantizer pq(data, 4, rng, /*kmeans_iterations=*/3);
+  for (size_t i = 0; i < 40; ++i) {
+    const float* vec = data.Row(i);
+    std::vector<uint8_t> expected(pq.CodeBytes());
+    for (int s = 0; s < pq.m(); ++s) {
+      const float* sub_vec = vec + static_cast<size_t>(s) * pq.sub_dim();
+      int best = 0;
+      float best_dist = 0.0f;
+      for (int c = 0; c < ProductQuantizer::kCentroids; ++c) {
+        const std::vector<float> centroid = CentroidOf(pq, s, c);
+        const float dist = L2Sq(sub_vec, centroid.data(), pq.sub_dim());
+        if (c == 0 || dist < best_dist) {
+          best = c;
+          best_dist = dist;
+        }
+      }
+      expected[static_cast<size_t>(s)] = static_cast<uint8_t>(best);
+    }
+    for (bool force_scalar : {true, false}) {
+      ForceScalarGuard guard(force_scalar);
+      std::vector<uint8_t> code(pq.CodeBytes());
+      pq.Encode(vec, code.data());
+      EXPECT_EQ(code, expected)
+          << "row " << i << (force_scalar ? " scalar" : " dispatched");
+    }
+  }
+}
+
+TEST(Pq, EncodeIsFirstWinsArgMinOfL2Sq) {
+  // The second training set has only 100 distinct rows, so its 256
+  // centroids repeat and encoding meets exact ties.
+  const Matrix clustered = TrainData(512, 16, 14);
+  Matrix duplicates(300, 16);
+  for (size_t i = 0; i < duplicates.rows(); ++i) {
+    duplicates.CopyRowFrom(clustered, i % 100, i);
+  }
+  ExpectEncodeIsFirstWinsArgMin(clustered);
+  ExpectEncodeIsFirstWinsArgMin(duplicates);
 }
 
 TEST(Pq, EncodeAllMatchesIndividualEncode) {

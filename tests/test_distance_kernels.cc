@@ -2,15 +2,18 @@
  * @file test_distance_kernels.cc
  * Tests for the batched distance-kernel layer: scalar/dispatched
  * parity across remainder-lane dims and unaligned bases, batch-vs-tile
- * bit-identity, ADC bit-identity, deterministic tie-breaks, and
- * end-to-end id parity (exact paths) / recall parity (approximate
- * paths) between the scalar and dispatched variants.
+ * bit-identity, column-major and ADC bit-identity, deterministic
+ * tie-breaks, end-to-end id parity (exact paths) / recall parity
+ * (approximate paths) between the scalar and dispatched variants, and
+ * a pinned IVF-PQ result digest.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -61,11 +64,15 @@ TEST(DistanceKernels, DispatchReportsConsistentState) {
   }
   ForceScalarGuard guard(false);
   // Priority scalar < avx2 < avx512: the best compiled-in, host-
-  // supported tier wins. (RAGO_KERNEL_VARIANT could cap this below the
-  // probe results, but the ctest environment never sets it.)
-  if (Avx512KernelsCompiled() && CpuSupportsAvx512()) {
+  // supported tier at or below the RAGO_KERNEL_VARIANT cap wins (CI
+  // caps one run at avx2).
+  const char* cap_env = std::getenv("RAGO_KERNEL_VARIANT");
+  const std::string cap = cap_env != nullptr ? cap_env : "";
+  const bool allow_avx512 = cap.empty() || cap == "avx512";
+  const bool allow_avx2 = allow_avx512 || cap == "avx2";
+  if (allow_avx512 && Avx512KernelsCompiled() && CpuSupportsAvx512()) {
     EXPECT_STREQ(Active().name, "avx512");
-  } else if (Avx2KernelsCompiled() && CpuSupportsAvx2()) {
+  } else if (allow_avx2 && Avx2KernelsCompiled() && CpuSupportsAvx2()) {
     EXPECT_STREQ(Active().name, "avx2");
   } else {
     EXPECT_STREQ(Active().name, "scalar");
@@ -89,6 +96,30 @@ std::vector<const KernelTable*> CompiledVariants() {
     }
   }
   return tables;
+}
+
+/// Sequential ADC over strided (code-major) codes: the subspace-order
+/// sum every ADC kernel must reproduce bit for bit.
+std::vector<float> ReferenceAdc(const std::vector<float>& table,
+                                const std::vector<uint8_t>& strided,
+                                size_t num_codes, size_t m) {
+  std::vector<float> out(num_codes);
+  for (size_t i = 0; i < num_codes; ++i) {
+    float dist = 0.0f;
+    for (size_t s = 0; s < m; ++s) {
+      dist += table[s * kAdcCentroids + strided[i * m + s]];
+    }
+    out[i] = dist;
+  }
+  return out;
+}
+
+std::vector<uint8_t> RandomCodes(Rng& rng, size_t count) {
+  std::vector<uint8_t> out(count);
+  for (uint8_t& c : out) {
+    c = static_cast<uint8_t>(rng.NextBounded(kAdcCentroids));
+  }
+  return out;
 }
 
 TEST(DistanceKernels, ScalarBatchBitIdenticalToLegacyLoops) {
@@ -201,27 +232,101 @@ TEST(DistanceKernels, UnalignedRowBasesMatchAligned) {
   }
 }
 
+TEST(DistanceKernels, L2ColsBitIdenticalToL2SqInEveryVariant) {
+  // One row per lane, d in order, no FMA: every variant must equal the
+  // scalar L2Sq bit for bit at every dim — vector groups, masked or
+  // scalar tails, and unaligned query / column / output bases alike.
+  Rng rng(18);
+  std::vector<size_t> dims;
+  for (size_t dim = 1; dim <= 20; ++dim) {
+    dims.push_back(dim);
+  }
+  dims.push_back(32);
+  for (size_t dim : dims) {
+    for (size_t n : {0u, 1u, 15u, 16u, 17u, 255u, 256u, 257u}) {
+      const std::vector<float> query = RandomBlock(rng, dim);
+      const std::vector<float> cols = RandomBlock(rng, dim * n);
+      std::vector<float> reference(n);
+      std::vector<float> row(dim);
+      for (size_t i = 0; i < n; ++i) {
+        for (size_t d = 0; d < dim; ++d) {
+          row[d] = cols[d * n + i];
+        }
+        reference[i] = L2Sq(query.data(), row.data(), dim);
+      }
+      for (const KernelTable* variant : CompiledVariants()) {
+        // Offset 1 leaves every base only 4-byte aligned; a sentinel
+        // on each side of the output must survive.
+        for (size_t offset : {0u, 1u}) {
+          std::vector<float> q(offset + dim);
+          std::vector<float> c(offset + dim * n);
+          std::copy(query.begin(), query.end(), q.begin() + offset);
+          std::copy(cols.begin(), cols.end(), c.begin() + offset);
+          std::vector<float> out(offset + n + 1, -1.0f);
+          variant->l2sq_cols(q.data() + offset, c.data() + offset, n, dim,
+                             out.data() + offset);
+          for (size_t i = 0; i < n; ++i) {
+            EXPECT_EQ(out[offset + i], reference[i])
+                << variant->name << " dim " << dim << " n " << n
+                << " offset " << offset << " row " << i;
+          }
+          EXPECT_EQ(out.front(), offset == 0 && n > 0 ? reference[0] : -1.0f)
+              << variant->name << " dim " << dim << " n " << n;
+          EXPECT_EQ(out.back(), -1.0f)
+              << variant->name << " dim " << dim << " n " << n;
+        }
+      }
+    }
+  }
+}
+
+TEST(DistanceKernels, ArgMinL2ColsMatchesRowMajorArgMin) {
+  // Same first-wins index and the same minimum as ArgMinL2 over the
+  // row-major copy, including duplicate minima.
+  const size_t dim = 4;
+  const size_t n = 37;
+  Rng rng(19);
+  std::vector<float> rows = RandomBlock(rng, n * dim);
+  const std::vector<float> query = RandomBlock(rng, dim);
+  std::memcpy(rows.data() + 9 * dim, query.data(), dim * sizeof(float));
+  std::memcpy(rows.data() + 30 * dim, query.data(), dim * sizeof(float));
+  std::vector<float> cols(n * dim);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t d = 0; d < dim; ++d) {
+      cols[d * n + i] = rows[i * dim + d];
+    }
+  }
+  for (bool force_scalar : {true, false}) {
+    ForceScalarGuard guard(force_scalar);
+    float row_min = -1.0f;
+    float col_min = -1.0f;
+    const size_t row_best =
+        ArgMinL2(query.data(), rows.data(), n, dim, &row_min);
+    EXPECT_EQ(ArgMinL2Cols(query.data(), cols.data(), n, dim, &col_min),
+              row_best);
+    EXPECT_EQ(row_best, 9u);
+    EXPECT_EQ(col_min, row_min);
+  }
+}
+
 TEST(DistanceKernels, AdcBitIdenticalAcrossVariants) {
   Rng rng(15);
   for (size_t m : {1u, 4u, 8u, 16u}) {
-    const size_t codes = 21;  // 8-code groups + remainder.
+    const size_t codes = 21;  // Partial packed block.
     const std::vector<float> table = RandomBlock(rng, m * kAdcCentroids);
-    std::vector<uint8_t> code_block(codes * m);
-    for (uint8_t& c : code_block) {
-      c = static_cast<uint8_t>(rng.NextBounded(kAdcCentroids));
-    }
-    std::vector<float> scalar_out(codes);
+    const std::vector<uint8_t> code_block = RandomCodes(rng, codes * m);
+    const PackedCodes packed(code_block.data(), codes, m);
+    const std::vector<float> reference =
+        ReferenceAdc(table, code_block, codes, m);
     std::vector<float> active_out(codes);
-    ScalarKernels().adc_batch(table.data(), code_block.data(), codes, m,
-                              scalar_out.data());
     {
       ForceScalarGuard guard(false);
-      Active().adc_batch(table.data(), code_block.data(), codes, m,
-                         active_out.data());
+      Active().adc_packed(table.data(), packed.data(), codes, m,
+                          active_out.data());
     }
     for (size_t i = 0; i < codes; ++i) {
       // Lane-sequential adds in subspace order: exact across variants.
-      EXPECT_EQ(scalar_out[i], active_out[i]) << "m " << m;
+      EXPECT_EQ(reference[i], active_out[i]) << "m " << m;
     }
   }
 }
@@ -257,31 +362,22 @@ TEST(DistanceKernels, PackedCodesRoundTripsAndPadsBlocks) {
 }
 
 TEST(DistanceKernels, AdcPackedBitIdenticalToStridedInEveryVariant) {
-  // The tentpole contract: packed and strided ADC agree bit-for-bit in
-  // every compiled variant, including tail blocks (codes % 32 != 0)
-  // and odd subspace counts.
+  // Packed ADC equals the sequential sum over the strided codes
+  // bit-for-bit in every compiled variant, including tail blocks
+  // (codes % 32 != 0) and odd subspace counts.
   Rng rng(46);
   for (size_t m : {1u, 3u, 8u, 16u}) {
     for (size_t codes : {1u, 31u, 32u, 33u, 64u, 97u}) {
       const std::vector<float> table = RandomBlock(rng, m * kAdcCentroids);
-      std::vector<uint8_t> strided(codes * m);
-      for (uint8_t& c : strided) {
-        c = static_cast<uint8_t>(rng.NextBounded(kAdcCentroids));
-      }
+      const std::vector<uint8_t> strided = RandomCodes(rng, codes * m);
       const PackedCodes packed(strided.data(), codes, m);
-      std::vector<float> reference(codes);
-      ScalarKernels().adc_batch(table.data(), strided.data(), codes, m,
-                                reference.data());
+      const std::vector<float> reference =
+          ReferenceAdc(table, strided, codes, m);
       for (const KernelTable* variant : CompiledVariants()) {
-        std::vector<float> strided_out(codes);
         std::vector<float> packed_out(codes);
-        variant->adc_batch(table.data(), strided.data(), codes, m,
-                           strided_out.data());
         variant->adc_packed(table.data(), packed.data(), codes, m,
                             packed_out.data());
         for (size_t i = 0; i < codes; ++i) {
-          EXPECT_EQ(reference[i], strided_out[i])
-              << variant->name << " m " << m << " codes " << codes;
           EXPECT_EQ(reference[i], packed_out[i])
               << variant->name << " m " << m << " codes " << codes;
         }
@@ -292,22 +388,15 @@ TEST(DistanceKernels, AdcPackedBitIdenticalToStridedInEveryVariant) {
 
 TEST(DistanceKernels, AdcKernelsWellDefinedOnDegenerateShapes) {
   // num_codes == 0 writes nothing; m == 0 writes 0.0f per code — in
-  // every compiled variant, both layouts.
+  // every compiled variant.
   const std::vector<float> table(kAdcCentroids, 1.0f);
   const std::vector<uint8_t> codes(4 * kPackedBlock, 7);
   for (const KernelTable* variant : CompiledVariants()) {
     std::vector<float> out(kPackedBlock + 1, -1.0f);
-    variant->adc_batch(table.data(), codes.data(), 0, 4, out.data());
     variant->adc_packed(table.data(), codes.data(), 0, 4, out.data());
     for (float x : out) {
       EXPECT_EQ(x, -1.0f) << variant->name;  // Untouched.
     }
-    variant->adc_batch(table.data(), codes.data(), out.size(), 0,
-                       out.data());
-    for (float x : out) {
-      EXPECT_EQ(x, 0.0f) << variant->name;
-    }
-    std::fill(out.begin(), out.end(), -1.0f);
     variant->adc_packed(table.data(), codes.data(), out.size(), 0,
                         out.data());
     for (float x : out) {
@@ -318,28 +407,28 @@ TEST(DistanceKernels, AdcKernelsWellDefinedOnDegenerateShapes) {
 
 TEST(DistanceKernels, ScanCodesPackedIntoTopKMatchesStridedScan) {
   // Same distances, same scan order, same tie-breaks: the packed TopK
-  // scan must reproduce the strided scan exactly — ids and distance
-  // bits — under every variant, including multi-tile lists.
+  // scan must reproduce a sequential scan of the strided codes exactly
+  // — ids and distance bits — under every variant, including
+  // multi-tile lists.
   Rng rng(47);
   const size_t m = 8;
   const size_t codes = 1111;  // > 2 scan tiles, partial tail block.
   const std::vector<float> table = RandomBlock(rng, m * kAdcCentroids);
-  std::vector<uint8_t> strided(codes * m);
-  for (uint8_t& c : strided) {
-    c = static_cast<uint8_t>(rng.NextBounded(kAdcCentroids));
-  }
+  const std::vector<uint8_t> strided = RandomCodes(rng, codes * m);
   const PackedCodes packed(strided.data(), codes, m);
+  TopK strided_top(17);
+  const std::vector<float> reference = ReferenceAdc(table, strided, codes, m);
+  for (size_t i = 0; i < codes; ++i) {
+    strided_top.Push(reference[i], 5 + static_cast<int64_t>(i));
+  }
+  const std::vector<Neighbor> a = strided_top.SortedTake();
   for (bool force_scalar : {true, false}) {
     ForceScalarGuard guard(force_scalar);
-    TopK strided_top(17);
     TopK packed_top(17);
     std::vector<float> scratch;
-    ScanCodesIntoTopK(table.data(), strided.data(), codes, m,
-                      /*ids=*/nullptr, /*base_id=*/5, strided_top, scratch);
     ScanCodesPackedIntoTopK(table.data(), packed.data(), codes, m,
                             /*ids=*/nullptr, /*base_id=*/5, packed_top,
                             scratch);
-    const std::vector<Neighbor> a = strided_top.SortedTake();
     const std::vector<Neighbor> b = packed_top.SortedTake();
     ASSERT_EQ(a.size(), b.size());
     for (size_t i = 0; i < a.size(); ++i) {
@@ -547,6 +636,71 @@ TEST(DistanceKernels, IvfPqRecallParityScalarVsDispatched) {
   EXPECT_GT(scalar_recall, 0.8);
   EXPECT_GT(dispatched_recall, 0.8);
   EXPECT_NEAR(scalar_recall, dispatched_recall, 0.05);
+}
+
+/// FNV-1a over every result's (id, distance bits), query by query.
+uint64_t ResultDigest(const std::vector<std::vector<Neighbor>>& results) {
+  uint64_t hash = 14695981039346656037ull;
+  auto fold = [&hash](const void* bytes, size_t size) {
+    const auto* p = static_cast<const unsigned char*>(bytes);
+    for (size_t i = 0; i < size; ++i) {
+      hash = (hash ^ p[i]) * 1099511628211ull;
+    }
+  };
+  for (const std::vector<Neighbor>& row : results) {
+    for (const Neighbor& nb : row) {
+      uint32_t bits = 0;
+      std::memcpy(&bits, &nb.dist, sizeof(bits));
+      fold(&nb.id, sizeof(nb.id));
+      fold(&bits, sizeof(bits));
+    }
+  }
+  return hash;
+}
+
+TEST(DistanceKernels, IvfPqSearchBatchDigestIsPinned) {
+  // Every bit of IVF-PQ training, encoding, ADC table build, scan and
+  // rerank at sub_dim 4, pinned: a kernel or layout change that moves
+  // one distance bit fails here. The 32-d / 8-subspace case is the
+  // serving benchmark's shape; its coarse quantizer and rerank run the
+  // float kernels at dim 32, whose SIMD rounding differs by host, so it
+  // is pinned under forced scalar. At dim 4 every variant's float
+  // kernels are bit-identical to scalar, so one digest holds both
+  // forced-scalar and dispatched.
+  struct Case {
+    size_t dim;
+    int m;
+    bool force_scalar;
+    uint64_t plain;
+    uint64_t reranked;
+  };
+  const Case cases[] = {
+      {32, 8, true, 2996821892233442027ull, 6371881504075500264ull},
+      {4, 1, true, 775338787635363460ull, 1679808487972455125ull},
+      {4, 1, false, 775338787635363460ull, 1679808487972455125ull},
+  };
+  for (const Case& c : cases) {
+    ForceScalarGuard guard(c.force_scalar);
+    rago::testing::AnnTestBedOptions bed_options;
+    bed_options.rows = 3000;
+    bed_options.dim = c.dim;
+    bed_options.num_queries = 24;
+    const rago::testing::AnnTestBed bed =
+        rago::testing::MakeAnnTestBed(bed_options);
+    Rng rng(21);
+    IvfPqOptions options;
+    options.nlist = 16;
+    options.pq_subspaces = c.m;
+    options.kmeans_iterations = 6;
+    const IvfPqIndex index(rago::testing::CopyMatrix(bed.data), options,
+                           rng);
+    const uint64_t plain = ResultDigest(
+        index.SearchBatch(bed.queries, 10, /*nprobe=*/4, /*rerank=*/0));
+    const uint64_t reranked = ResultDigest(
+        index.SearchBatch(bed.queries, 10, /*nprobe=*/4, /*rerank=*/40));
+    EXPECT_EQ(plain, c.plain) << "dim " << c.dim;
+    EXPECT_EQ(reranked, c.reranked) << "dim " << c.dim;
+  }
 }
 
 TEST(DistanceKernels, ScannTreeRecallParityScalarVsDispatched) {

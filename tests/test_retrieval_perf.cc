@@ -282,17 +282,19 @@ TEST(Roofline, AccountingClosedFormsMatchHandComputation) {
                    1000.0 * 64 * 4 + 8.0 * 64 * 4 + 8.0 * 1000 * 4);
   EXPECT_DOUBLE_EQ(tile.flops, 8.0 * 1000 * 64 * 3);
 
-  // ADC: 1 byte per (code, subspace), cache-resident m x 256 table,
-  // one float accumulation and output per code.
-  const KernelWork adc = AccountAdcScan(4096, 16);
-  EXPECT_DOUBLE_EQ(adc.bytes, 4096.0 * 16 + 16.0 * 256 * 4 + 4096.0 * 4);
-  EXPECT_DOUBLE_EQ(adc.flops, 4096.0 * 16);
+  // ADC table build: cache-resident codebooks once, each query read
+  // once, every m x 256 table written; sub + mul + add per element.
+  const KernelWork build = AccountPqTableBuild(64, 8, 4);
+  EXPECT_DOUBLE_EQ(build.bytes,
+                   8.0 * 4 * 256 * 4 + 64.0 * 8 * 4 * 4 + 64.0 * 8 * 256 * 4);
+  EXPECT_DOUBLE_EQ(build.flops, 64.0 * 8 * 256 * 4 * 3);
 
-  // Packed ADC: whole-block multiples of the code stream, same FLOPs.
-  // 4096 is block-aligned, so the streams match the strided scan.
+  // Packed ADC: 1 byte per (code, subspace) in whole blocks,
+  // cache-resident m x 256 table, one float accumulation and output
+  // per code. 4096 is block-aligned, so nothing is padded.
   const KernelWork packed = AccountAdcPackedScan(4096, 16);
-  EXPECT_DOUBLE_EQ(packed.bytes, adc.bytes);
-  EXPECT_DOUBLE_EQ(packed.flops, adc.flops);
+  EXPECT_DOUBLE_EQ(packed.bytes, 4096.0 * 16 + 16.0 * 256 * 4 + 4096.0 * 4);
+  EXPECT_DOUBLE_EQ(packed.flops, 4096.0 * 16);
   // 4097 codes pad to 129 blocks of 32; outputs stay unpadded.
   const KernelWork padded = AccountAdcPackedScan(4097, 16);
   EXPECT_DOUBLE_EQ(padded.bytes,
@@ -301,7 +303,7 @@ TEST(Roofline, AccountingClosedFormsMatchHandComputation) {
 
   EXPECT_THROW(AccountBatchScan(ann::Metric::kL2, 0, 64), ConfigError);
   EXPECT_THROW(AccountTileScan(ann::Metric::kL2, 8, 1000, 0), ConfigError);
-  EXPECT_THROW(AccountAdcScan(4096, 0), ConfigError);
+  EXPECT_THROW(AccountPqTableBuild(64, 8, 0), ConfigError);
   EXPECT_THROW(AccountAdcPackedScan(0, 16), ConfigError);
 }
 
@@ -336,7 +338,7 @@ TEST(Roofline, ClassificationFollowsTheRidge) {
     EXPECT_TRUE(profiler.ProfileL2Batch().memory_bound);
     EXPECT_TRUE(profiler.ProfileIpBatch().memory_bound);
     EXPECT_TRUE(profiler.ProfileL2Tile().memory_bound);
-    EXPECT_TRUE(profiler.ProfileAdc().memory_bound);
+    EXPECT_TRUE(profiler.ProfilePqTableBuild().memory_bound);
     EXPECT_TRUE(profiler.ProfileAdcPacked().memory_bound);
   }
 
@@ -347,7 +349,7 @@ TEST(Roofline, ClassificationFollowsTheRidge) {
   {
     const KernelProfiler profiler(compute_starved, options);
     EXPECT_FALSE(profiler.ProfileL2Batch().memory_bound);
-    EXPECT_FALSE(profiler.ProfileAdc().memory_bound);
+    EXPECT_FALSE(profiler.ProfilePqTableBuild().memory_bound);
   }
 }
 
@@ -366,7 +368,7 @@ TEST(Roofline, ProfiledPointsAreInternallyConsistent) {
 
   for (const KernelRooflinePoint& point :
        {profiler.ProfileL2Batch(), profiler.ProfileIpBatch(),
-        profiler.ProfileL2Tile(), profiler.ProfileAdc(),
+        profiler.ProfileL2Tile(), profiler.ProfilePqTableBuild(),
         profiler.ProfileAdcPacked()}) {
     EXPECT_FALSE(point.kernel.empty());
     EXPECT_EQ(point.variant, ann::kernels::Active().name);
