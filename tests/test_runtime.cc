@@ -9,8 +9,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -897,6 +899,182 @@ TEST(ServingRuntimeTest, CounterTracksExportStageTimelines) {
   }
   EXPECT_EQ(queue_counters, static_cast<int64_t>(timeline_points));
   EXPECT_EQ(util_counters, static_cast<int64_t>(timeline_points));
+}
+
+// ---------------------------------------------------------------------------
+// Trace content pins
+// ---------------------------------------------------------------------------
+
+/// Canonical text of a parsed JSON value: numbers as their double bit
+/// patterns, object members in document order, minus any member named
+/// `skip_key` (at any depth).
+void CanonicalJson(const JsonValue& value, const std::string& skip_key,
+                   std::string& out) {
+  switch (value.type()) {
+    case JsonValue::Type::kNull:
+      out += "null";
+      break;
+    case JsonValue::Type::kBool:
+      out += value.AsBool() ? "true" : "false";
+      break;
+    case JsonValue::Type::kNumber: {
+      const double number = value.AsNumber();
+      uint64_t bits = 0;
+      std::memcpy(&bits, &number, sizeof(bits));
+      out += "#" + std::to_string(bits);
+      break;
+    }
+    case JsonValue::Type::kString:
+      out += "\"" + value.AsString() + "\"";
+      break;
+    case JsonValue::Type::kArray:
+      out += "[";
+      for (const JsonValue& item : value.Items()) {
+        CanonicalJson(item, skip_key, out);
+        out += ",";
+      }
+      out += "]";
+      break;
+    case JsonValue::Type::kObject:
+      out += "{";
+      for (const auto& [key, member] : value.Members()) {
+        if (key == skip_key) {
+          continue;
+        }
+        out += "\"" + key + "\":";
+        CanonicalJson(member, skip_key, out);
+        out += ",";
+      }
+      out += "}";
+      break;
+  }
+}
+
+uint64_t FnvString(uint64_t hash, const std::string& text) {
+  for (const unsigned char c : text) {
+    hash ^= c;
+    hash *= 1099511628211ull;
+  }
+  // Length terminator: concatenations of different splits differ.
+  for (int byte = 0; byte < 8; ++byte) {
+    hash ^= (text.size() >> (byte * 8)) & 0xffu;
+    hash *= 1099511628211ull;
+  }
+  return hash;
+}
+
+/// Digests of one Chrome trace export.
+struct TraceDigests {
+  uint64_t metadata = 0;  ///< Metadata ("M") events, in emitted order.
+  uint64_t events = 0;    ///< Sorted multiset of every other event.
+  size_t metadata_count = 0;
+  size_t event_count = 0;
+};
+
+/// Digests `recorder`'s Chrome export. The multiset digest ignores
+/// where an event sits in the stream; `real_scan_wall_s` (host wall
+/// time) is left out of the canonical form.
+TraceDigests DigestChromeTrace(const obs::TraceRecorder& recorder) {
+  constexpr uint64_t kOffset = 14695981039346656037ull;
+  const JsonValue doc = JsonValue::Parse(recorder.ChromeTraceJson());
+  TraceDigests digests;
+  digests.metadata = kOffset;
+  std::vector<std::string> events;
+  for (const JsonValue& event : doc.At("traceEvents").Items()) {
+    std::string text;
+    CanonicalJson(event, "real_scan_wall_s", text);
+    if (event.At("ph").AsString() == "M") {
+      digests.metadata = FnvString(digests.metadata, text);
+      ++digests.metadata_count;
+    } else {
+      events.push_back(std::move(text));
+    }
+  }
+  std::sort(events.begin(), events.end());
+  digests.events = kOffset;
+  for (const std::string& text : events) {
+    digests.events = FnvString(digests.events, text);
+  }
+  digests.event_count = events.size();
+  return digests;
+}
+
+TEST(EngineTraceDigest, UnsampledDesTraceIsPinned) {
+  const core::PipelineModel model = rago::testing::TinyHyperscaleModel();
+  const core::Schedule schedule = SimpleSchedule(model, 8, 8, 4, 64);
+  obs::TraceRecorder recorder;
+  sim::ServingSimOptions options;
+  options.trace = &recorder;
+  sim::SimulateServing(model, schedule, PoissonTrace(120, 150.0, 23),
+                       options);
+
+  const TraceDigests digests = DigestChromeTrace(recorder);
+  EXPECT_EQ(digests.metadata_count, 125u);
+  EXPECT_EQ(digests.event_count, 3043u);
+  EXPECT_EQ(digests.metadata, 0x42ece5092f2b05a5ull);
+  EXPECT_EQ(digests.events, 0xa5bccb3958b387d8ull);
+}
+
+TEST(EngineTraceDigest, SampledRuntimeTraceWithEverySinkIsPinned) {
+  // Bursty traffic over both cache levels, bounded admission, and the
+  // whole sink stack with the sampling policy of the rag_hot
+  // benchmark workload (head_rate 0.02, tail_keep 32).
+  const core::PipelineModel model = rago::testing::TinyHyperscaleModel();
+  const core::Schedule schedule = SimpleSchedule(model, 8, 8, 4, 64);
+  const LiveTier tier = MakeLiveTier();
+  const int requests = 400;
+  MmppOptions mmpp;
+  mmpp.quiet_qps = 60.0;
+  mmpp.burst_qps = 3000.0;
+  mmpp.mean_quiet_seconds = 0.2;
+  mmpp.mean_burst_seconds = 0.1;
+  const ArrivalTrace trace = MmppTrace(requests, mmpp, 29);
+  const QueryStream stream = ZipfianQueryStream(
+      requests, static_cast<int64_t>(tier.queries.rows()), 1.0, 31);
+
+  obs::TraceRecorder recorder;
+  obs::TraceSamplingOptions sampling;
+  sampling.head_rate = 0.02;
+  sampling.tail_keep = 32;
+  sampling.seed = 3;
+  recorder.SetSampling(sampling);
+  MetricsRegistry metrics;
+  obs::TimeSeriesOptions ts_options;
+  ts_options.window_seconds = 0.1;
+  ts_options.windows_per_level = 8;
+  obs::TelemetryTimeSeries series(ts_options);
+  obs::SloAlertOptions alert_options;
+  alert_options.rules.push_back({});
+  alert_options.rules.back().short_window_seconds = 0.2;
+  alert_options.rules.back().long_window_seconds = 0.6;
+  obs::SloAlertEngine alerts(alert_options);
+  obs::FlightRecorder flight(64);
+
+  RuntimeOptions options;
+  options.num_threads = 1;
+  options.top_k = 5;
+  options.admission_queue_limit = 12;
+  options.batch_timeout = 0.005;
+  options.slo.ttft_seconds = 0.2;
+  options.cache.retrieval_capacity = 16;
+  options.cache.doc_capacity = 256;
+  options.trace = &recorder;
+  options.metrics = &metrics;
+  options.timeseries = &series;
+  options.alerts = &alerts;
+  options.flight = &flight;
+  const RuntimeResult result =
+      ServingRuntime(model, schedule, tier.index, options)
+          .Serve(trace, tier.queries, stream);
+  ASSERT_GT(result.rejected, 0);
+  ASSERT_GT(result.retrieval_cache.hits, 0);
+  ASSERT_GT(recorder.discarded_requests(), 0);
+
+  const TraceDigests digests = DigestChromeTrace(recorder);
+  EXPECT_EQ(digests.metadata_count, 46u);
+  EXPECT_EQ(digests.event_count, 1197u);
+  EXPECT_EQ(digests.metadata, 0xf67ebd993169b61bull);
+  EXPECT_EQ(digests.events, 0x3b82413e0aa8ab42ull);
 }
 
 }  // namespace
