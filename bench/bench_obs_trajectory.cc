@@ -408,13 +408,11 @@ int main(int argc, char** argv) {
   // --- Report. ---
   Banner("observability trajectory (scalar kernels, traced run)");
   std::printf("run: %d requests, digest %s, %zu trace events "
-              "(%lld spans, %lld instants, %lld counters), "
-              "%d streaming histograms\n",
+              "(%lld spans, %lld instants, %lld counters)\n",
               requests, DigestHex(result.outcome_digest).c_str(),
               trace.size(), static_cast<long long>(trace_spans),
               static_cast<long long>(trace_instants),
-              static_cast<long long>(trace_counters),
-              result.streaming_histograms);
+              static_cast<long long>(trace_counters));
   std::printf("telemetry: %lld windows closed (%lld folded, %lld "
               "dropped, %zu held), min window attainment %.3f, "
               "%lld/%lld requests trace-sampled, %zu alert transitions, "
@@ -468,7 +466,6 @@ int main(int argc, char** argv) {
   json.Key("admitted").Int(result.admitted);
   json.Key("rejected").Int(result.rejected);
   json.Key("completed").Int(result.completed);
-  json.Key("streaming_histograms").Int(result.streaming_histograms);
   json.Key("trace_spans").Int(trace_spans);
   json.Key("trace_instants").Int(trace_instants);
   json.Key("trace_counters").Int(trace_counters);

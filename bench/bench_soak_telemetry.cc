@@ -173,7 +173,6 @@ int main(int argc, char** argv) {
   base_options.admission_queue_limit = 256;
   base_options.slo.ttft_seconds = chosen.perf.ttft * 3.0 + 0.1;
   base_options.slo.tpot_seconds = chosen.perf.tpot * 3.0;
-  base_options.timeline_limit = 512;
 
   Banner("telemetry soak (composite MMPP + diurnal, full obs layer)");
   std::printf("traffic: %d requests, offered %.1f QPS vs capacity %.1f "
@@ -198,7 +197,6 @@ int main(int argc, char** argv) {
   int64_t alert_transitions = 0;
   double slo_attainment = 0.0;
   double min_window_attainment = 1.0;
-  int streaming_histograms = 0;
   int64_t windows_closed = 0, windows_folded = 0, windows_dropped = 0;
   size_t windows_held = 0;
   int64_t finalized = 0, sampled = 0, discarded = 0;
@@ -265,7 +263,6 @@ int main(int argc, char** argv) {
       // RRD semantics: dropped history is gone by design.
       rejected = result.rejected;
       slo_attainment = result.slo_attainment;
-      streaming_histograms = result.streaming_histograms;
       windows_closed = series.windows_closed();
       windows_folded = series.windows_folded();
       windows_dropped = series.windows_dropped();
@@ -341,7 +338,6 @@ int main(int argc, char** argv) {
   json.Key("rejected").Int(rejected);
   json.Key("slo_attainment").Number(slo_attainment);
   json.Key("min_window_attainment").Number(min_window_attainment);
-  json.Key("streaming_histograms").Int(streaming_histograms);
   json.Key("thread_counts").BeginArray();
   for (int threads : thread_counts) {
     json.Int(threads);

@@ -1,89 +1,42 @@
 /**
  * @file histogram.h
- * Latency recorder: exact samples with a bounded streaming fallback.
+ * Exact latency recorder.
  *
  * The serving DES and the online runtime both report latency
  * percentiles (TTFT, TPOT, queue wait). Both are bound by the repo's
  * determinism contract — fixed seed => bit-identical statistics for
- * any thread count — so the recorder keeps the exact samples while it
- * can: percentiles are then pure functions of the recorded multiset,
- * never of a binning policy, and two runs that produced the same
- * samples report the same doubles to the last bit.
- *
- * Exactness is the right trade for runs of thousands of requests and
- * the wrong one for million-request soaks, where an unbounded sample
- * vector is a memory leak in slow motion. Each recorder therefore
- * carries a sample cap: when the cap is reached, the exact samples
- * fold into a bounded fixed-bin log-scale StreamingHistogram
- * (common/metrics.h) and recording continues in O(bins) memory.
- * The switchover is deterministic (a pure function of the sample
- * count) and surfaced via streaming_active(), never silent: consumers
- * like the runtime report how many recorders degraded to streaming
- * mode. Percentiles after the switchover are approximate within one
- * bin ratio; Mean/count stay exact throughout.
+ * any thread count — so the recorder keeps every sample: percentiles
+ * are pure functions of the recorded multiset, never of a binning
+ * policy, and two runs that produced the same samples report the same
+ * doubles to the last bit. Its memory is one double per sample, the
+ * same order as the per-request outcomes a run already keeps; bounded
+ * binned histograms live in common/metrics.h (StreamingHistogram).
  */
 #ifndef RAGO_COMMON_HISTOGRAM_H
 #define RAGO_COMMON_HISTOGRAM_H
 
 #include <algorithm>
 #include <cstdint>
-#include <optional>
-#include <utility>
 #include <vector>
 
 #include "common/check.h"
-#include "common/metrics.h"
 
 namespace rago {
 
-/// Accumulates double samples; answers mean/min/max/percentile.
+/// Accumulates double samples; answers mean and percentiles.
 class Histogram {
  public:
-  /// Default cap: 1M exact samples (8 MB) before streaming mode.
-  static constexpr int64_t kDefaultSampleCap = int64_t{1} << 20;
-
-  Histogram() = default;
-  /**
-   * `sample_cap` exact samples are kept before the recorder folds
-   * into `streaming_options` bins (must be positive). Percentile
-   * convention and Mean stay identical either side of the switchover;
-   * only percentile exactness degrades (bounded by the bin ratio).
-   */
-  explicit Histogram(int64_t sample_cap,
-                     StreamingHistogramOptions streaming_options = {})
-      : sample_cap_(sample_cap), streaming_options_(streaming_options) {
-    RAGO_REQUIRE(sample_cap_ > 0, "sample cap must be positive");
-    streaming_options_.Validate();
-  }
-
   void Add(double value) {
-    if (streaming_.has_value()) {
-      streaming_->Add(value);
-      return;
-    }
     samples_.push_back(value);
     sum_ += value;
     sorted_ = false;
-    if (static_cast<int64_t>(samples_.size()) >= sample_cap_) {
-      SwitchToStreaming();
-    }
   }
 
-  int64_t count() const {
-    return streaming_.has_value() ? streaming_->count()
-                                  : static_cast<int64_t>(samples_.size());
-  }
-  bool empty() const { return count() == 0; }
+  int64_t count() const { return static_cast<int64_t>(samples_.size()); }
+  bool empty() const { return samples_.empty(); }
 
-  /// True once the sample cap forced bounded streaming recording.
-  bool streaming_active() const { return streaming_.has_value(); }
-  int64_t sample_cap() const { return sample_cap_; }
-
-  /// Arithmetic mean (always exact); 0 when no samples were recorded.
+  /// Arithmetic mean; 0 when no samples were recorded.
   double Mean() const {
-    if (streaming_.has_value()) {
-      return streaming_->Mean();
-    }
     return samples_.empty() ? 0.0
                             : sum_ / static_cast<double>(samples_.size());
   }
@@ -92,13 +45,9 @@ class Histogram {
    * Nearest-rank percentile: the sorted sample at index
    * floor(p * (n - 1)), the convention the serving DES has always used
    * for p99 TTFT. `p` must be in [0, 1]; 0 when no samples were
-   * recorded. After the streaming switchover the same rank is answered
-   * from the log-scale bins (approximate within one bin ratio).
+   * recorded.
    */
   double Percentile(double p) const {
-    if (streaming_.has_value()) {
-      return streaming_->Quantile(p);
-    }
     RAGO_REQUIRE(p >= 0.0 && p <= 1.0, "percentile must be in [0, 1]");
     if (samples_.empty()) {
       return 0.0;
@@ -110,16 +59,6 @@ class Histogram {
   }
 
  private:
-  void SwitchToStreaming() {
-    StreamingHistogram streaming(streaming_options_);
-    for (double sample : samples_) {
-      streaming.Add(sample);
-    }
-    streaming_ = std::move(streaming);
-    samples_.clear();
-    samples_.shrink_to_fit();
-  }
-
   void EnsureSorted() const {
     if (!sorted_) {
       std::sort(samples_.begin(), samples_.end());
@@ -127,12 +66,9 @@ class Histogram {
     }
   }
 
-  int64_t sample_cap_ = kDefaultSampleCap;
-  StreamingHistogramOptions streaming_options_;
   mutable std::vector<double> samples_;
   mutable bool sorted_ = true;
   double sum_ = 0.0;
-  std::optional<StreamingHistogram> streaming_;
 };
 
 }  // namespace rago

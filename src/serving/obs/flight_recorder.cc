@@ -66,10 +66,13 @@ FlightRecorder::DumpToFile(const std::string& path) const {
   std::FILE* file = std::fopen(path.c_str(), "w");
   RAGO_REQUIRE(file != nullptr,
                "cannot open flight-recorder dump for write: " + path);
-  const std::string body = Json();
-  std::fwrite(body.data(), 1, body.size(), file);
-  std::fputc('\n', file);
-  std::fclose(file);
+  const std::string body = Json() + "\n";
+  const bool written =
+      std::fwrite(body.data(), 1, body.size(), file) == body.size();
+  // fclose flushes the buffer, so a full device often surfaces here.
+  const bool closed = std::fclose(file) == 0;
+  RAGO_REQUIRE(written && closed,
+               "cannot write flight-recorder dump: " + path);
 }
 
 }  // namespace rago::obs

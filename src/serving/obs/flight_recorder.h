@@ -63,7 +63,8 @@ class FlightRecorder {
    */
   void WriteJson(JsonWriter& json) const;
   std::string Json() const;
-  /// Writes Json() to `path`; throws ConfigError when unwritable.
+  /// Writes Json() to `path`; throws ConfigError when the file cannot
+  /// be opened, written in full or closed.
   void DumpToFile(const std::string& path) const;
 
  private:

@@ -43,10 +43,6 @@ TraceRecorder::SetProcessName(int pid, std::string name) {
 
 void
 TraceRecorder::SetThreadName(int pid, int tid, std::string name) {
-  if (sampling_active_ && pid == kRequestPid) {
-    pending_[tid].thread_name = std::move(name);
-    return;
-  }
   thread_names_[{pid, tid}] = std::move(name);
 }
 
@@ -71,7 +67,7 @@ TraceRecorder::HeadSampled(int64_t request_id) const {
 TraceEvent&
 TraceRecorder::Append(TraceEvent event) {
   if (sampling_active_ && event.request_id >= 0) {
-    std::vector<TraceEvent>& buffer = pending_[event.request_id].events;
+    std::vector<TraceEvent>& buffer = pending_[event.request_id];
     buffer.push_back(std::move(event));
     return buffer.back();
   }
@@ -124,12 +120,8 @@ TraceRecorder::AddCounter(std::string name, std::string category, int pid,
 }
 
 void
-TraceRecorder::Commit(int64_t request_id, PendingRequest request) {
-  if (!request.thread_name.empty()) {
-    thread_names_[{kRequestPid, static_cast<int>(request_id)}] =
-        std::move(request.thread_name);
-  }
-  for (TraceEvent& event : request.events) {
+TraceRecorder::Commit(std::vector<TraceEvent> events) {
+  for (TraceEvent& event : events) {
     events_.push_back(std::move(event));
   }
 }
@@ -151,15 +143,15 @@ TraceRecorder::FinalizeRequest(int64_t request_id, double score,
   if (!sampling_active_) {
     return;
   }
-  PendingRequest request;
+  std::vector<TraceEvent> events;
   auto it = pending_.find(request_id);
   if (it != pending_.end()) {
-    request = std::move(it->second);
+    events = std::move(it->second);
     pending_.erase(it);
   }
   ++finalized_requests_;
   if (HeadSampled(request_id)) {
-    Commit(request_id, std::move(request));
+    Commit(std::move(events));
     ++sampled_requests_;
     return;
   }
@@ -168,7 +160,7 @@ TraceRecorder::FinalizeRequest(int64_t request_id, double score,
     entry.request_id = request_id;
     entry.score = score;
     entry.slo_violation = slo_violation;
-    entry.request = std::move(request);
+    entry.events = std::move(events);
     // Insert in worst-first order; evict the best-ranked entry once
     // over capacity. K is small, so linear insertion is fine.
     auto pos = std::upper_bound(
@@ -196,7 +188,7 @@ TraceRecorder::FlushTailKeep() {
               return a.request_id < b.request_id;
             });
   for (TailEntry& entry : tail_) {
-    Commit(entry.request_id, std::move(entry.request));
+    Commit(std::move(entry.events));
     ++sampled_requests_;
   }
   tail_.clear();
@@ -232,7 +224,15 @@ TraceRecorder::WriteChromeTrace(JsonWriter& json) const {
   json.Key("traceEvents").BeginArray();
   // Metadata first (the format does not require it, but the viewers
   // name tracks more reliably when names precede events). Map order
-  // keeps emission deterministic.
+  // keeps emission deterministic. Request rows are named here, one
+  // per request with committed events, unless named explicitly.
+  std::map<std::pair<int, int>, std::string> thread_names = thread_names_;
+  for (const TraceEvent& event : events_) {
+    const std::pair<int, int> key{event.pid, event.tid};
+    if (event.pid == kRequestPid && thread_names.count(key) == 0) {
+      thread_names.emplace(key, "req " + std::to_string(event.tid));
+    }
+  }
   for (const auto& [pid, name] : process_names_) {
     json.BeginObject();
     json.Key("ph").String("M");
@@ -244,7 +244,7 @@ TraceRecorder::WriteChromeTrace(JsonWriter& json) const {
     json.EndObject();
     json.EndObject();
   }
-  for (const auto& [key, name] : thread_names_) {
+  for (const auto& [key, name] : thread_names) {
     json.BeginObject();
     json.Key("ph").String("M");
     json.Key("name").String("thread_name");

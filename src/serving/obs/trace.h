@@ -11,8 +11,9 @@
  *
  *  - **Chrome trace-event JSON** (chrome://tracing, Perfetto): rows
  *    are servers (pid 0, one track per physical server plus the decode
- *    pool) and requests (pid 1, one track per request id), so batch
- *    occupancy and a request's journey line up on one timeline.
+ *    pool) and requests (pid 1, one track per request id, named
+ *    "req <id>" at export), so batch occupancy and a request's journey
+ *    line up on one timeline.
  *  - **Compact per-request summary JSON**: each request id with its
  *    recorded spans in order, for programmatic assertions.
  *
@@ -95,10 +96,10 @@ class TraceRecorder {
  public:
   /// Names a pid group ("servers", "requests").
   void SetProcessName(int pid, std::string name);
-  /// Names one track within a pid group ("server 0 (xpu)", "req 7").
-  /// Under sampling, names on the request group (pid 1, tid = request
-  /// id) defer with the request's events so unsampled requests leave
-  /// no metadata behind.
+  /// Names one track within a pid group ("server 0 (xpu)"). Request
+  /// rows (pid 1, tid = request id) need no name: the export names
+  /// each one that holds committed events "req <id>", so requests
+  /// sampling discarded leave no metadata behind.
   void SetThreadName(int pid, int tid, std::string name);
 
   /// Appends a duration span; the returned reference stays valid until
@@ -174,23 +175,19 @@ class TraceRecorder {
   std::string RequestSummaryJson() const;
 
  private:
-  /// Per-request buffer while sampling defers the commit decision.
-  struct PendingRequest {
-    std::string thread_name;  ///< Deferred pid-1 track name, if any.
-    std::vector<TraceEvent> events;
-  };
-  /// Tail-keep candidate: a finalized, non-head-sampled request.
+  /// Tail-keep candidate: a finalized, non-head-sampled request and
+  /// the events sampling holds back for it.
   struct TailEntry {
     int64_t request_id = 0;
     double score = 0.0;
     bool slo_violation = false;
-    PendingRequest request;
+    std::vector<TraceEvent> events;
   };
 
   /// True when `a` outranks `b` for a tail-keep slot.
   static bool TailWorse(const TailEntry& a, const TailEntry& b);
   TraceEvent& Append(TraceEvent event);
-  void Commit(int64_t request_id, PendingRequest request);
+  void Commit(std::vector<TraceEvent> events);
 
   std::vector<TraceEvent> events_;
   std::map<int, std::string> process_names_;
@@ -198,7 +195,8 @@ class TraceRecorder {
 
   TraceSamplingOptions sampling_;
   bool sampling_active_ = false;
-  std::map<int64_t, PendingRequest> pending_;
+  /// Per-request buffers while sampling defers the commit decision.
+  std::map<int64_t, std::vector<TraceEvent>> pending_;
   std::vector<TailEntry> tail_;  ///< Kept sorted worst-first, size <= K.
   int64_t finalized_requests_ = 0;
   int64_t sampled_requests_ = 0;

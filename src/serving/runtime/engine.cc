@@ -45,6 +45,9 @@ uint64_t FnvFoldFloat(uint64_t hash, float value) {
 
 constexpr uint64_t kFnvOffset = 14695981039346656037ull;
 constexpr size_t kNoStage = std::numeric_limits<size_t>::max();
+/// Queue-depth/utilization counter samples each stage emits to the
+/// trace (one per enqueue and one per batch start, first ones kept).
+constexpr int kMaxCounterSamplesPerStage = 4096;
 
 /// One request waiting in a stage queue.
 struct QueueEntry {
@@ -66,6 +69,10 @@ struct ExecStage {
   double oldest_enqueue = 0.0;
   /// Time of the last flush deadline pushed for this stage.
   double armed_deadline = -std::numeric_limits<double>::infinity();
+  /// Trace counter tracks: names and samples emitted so far.
+  std::string depth_counter;
+  std::string utilization_counter;
+  int counter_samples = 0;
 };
 
 /// Scheduler event; kind ascending breaks time ties (arrivals first),
@@ -129,16 +136,6 @@ void Aggregate(const RuntimeOptions& options, double decode_busy_time,
       result.admitted > 0
           ? hit_fraction_total / static_cast<double>(result.admitted)
           : 0.0;
-  // Surface (never hide) recorders that hit the sample cap and fell
-  // back to bounded streaming percentiles.
-  result.streaming_histograms =
-      (result.ttft.streaming_active() ? 1 : 0) +
-      (result.tpot.streaming_active() ? 1 : 0) +
-      (result.queue_wait.streaming_active() ? 1 : 0);
-  for (const StageTelemetry& telemetry : result.stages) {
-    result.streaming_histograms +=
-        telemetry.queue_wait.streaming_active() ? 1 : 0;
-  }
 }
 
 /// Folds every request outcome (id order) and the cache counters into
@@ -185,8 +182,6 @@ void ExportMetrics(const RuntimeResult& result, MetricsRegistry& metrics) {
       .Inc(result.retrieval_cache.hits);
   metrics.GetCounter("runtime.retrieval_cache_misses")
       .Inc(result.retrieval_cache.misses);
-  metrics.GetCounter("runtime.streaming_histograms")
-      .Inc(result.streaming_histograms);
   metrics.GetGauge("runtime.throughput_rps").Set(result.throughput);
   metrics.GetGauge("runtime.makespan_seconds").Set(result.makespan);
   metrics.GetGauge("runtime.slo_attainment").Set(result.slo_attainment);
@@ -220,9 +215,6 @@ RuntimeOptions::Validate() const {
   RAGO_REQUIRE(top_k >= 1, "top_k must be >= 1");
   RAGO_REQUIRE(slo.ttft_seconds > 0 && slo.tpot_seconds > 0,
                "SLO targets must be positive");
-  RAGO_REQUIRE(timeline_limit >= 0, "timeline_limit must be >= 0");
-  RAGO_REQUIRE(histogram_sample_cap > 0,
-               "histogram_sample_cap must be positive");
   RAGO_REQUIRE(alerts == nullptr || timeseries != nullptr,
                "burn-rate alerting requires a telemetry time-series");
   cache.Validate();
@@ -317,14 +309,10 @@ RunServingEngine(const core::PipelineModel& model,
   for (size_t i = 0; i < workload.arrivals.size(); ++i) {
     result.requests[i].arrival = workload.arrivals[i];
   }
-  result.ttft = Histogram(options.histogram_sample_cap);
-  result.tpot = Histogram(options.histogram_sample_cap);
-  result.queue_wait = Histogram(options.histogram_sample_cap);
   result.stages.resize(stages.size());
   for (size_t s = 0; s < stages.size(); ++s) {
     result.stages[s].type = stages[s].type;
     result.stages[s].server = stages[s].server;
-    result.stages[s].queue_wait = Histogram(options.histogram_sample_cap);
   }
   result.server_busy_seconds.assign(static_cast<size_t>(num_servers), 0.0);
 
@@ -340,6 +328,12 @@ RunServingEngine(const core::PipelineModel& model,
     }
     trace->SetThreadName(0, retrieval_server, "retrieval servers");
     trace->SetThreadName(0, decode_row, "decode pool");
+    for (size_t s = 0; s < stages.size(); ++s) {
+      const std::string name = std::string(core::StageName(stages[s].type)) +
+                               " s" + std::to_string(s);
+      stages[s].depth_counter = "queue-depth: " + name;
+      stages[s].utilization_counter = "utilization: " + name;
+    }
   }
 
   // --- Windowed telemetry, burn-rate alerting, flight recorder (all
@@ -460,22 +454,26 @@ RunServingEngine(const core::PipelineModel& model,
     }
   };
 
+  // Samples stage `s`'s queue depth into the windowed telemetry and,
+  // for its first kMaxCounterSamplesPerStage samples, into the trace's
+  // Chrome "C" counter tracks (queue depth and busy fraction so far).
   auto record_timeline = [&](size_t s) {
+    ExecStage& stage = stages[s];
     if (series != nullptr) {
       series->RecordQueueDepth(now, static_cast<int>(s),
-                               static_cast<int64_t>(stages[s].queue.size()));
+                               static_cast<int64_t>(stage.queue.size()));
     }
-    StageTelemetry& telemetry = result.stages[s];
-    if (static_cast<int>(telemetry.timeline.size()) >=
-        options.timeline_limit) {
+    if (trace == nullptr ||
+        stage.counter_samples >= kMaxCounterSamplesPerStage) {
       return;
     }
-    StageTimelinePoint point;
-    point.time = now;
-    point.queue_depth = static_cast<int>(stages[s].queue.size());
-    point.utilization =
-        now > 0.0 ? telemetry.busy_seconds / now : 0.0;
-    telemetry.timeline.push_back(point);
+    ++stage.counter_samples;
+    trace->AddCounter(stage.depth_counter, "telemetry", 0,
+                      static_cast<int>(s), now,
+                      static_cast<double>(stage.queue.size()));
+    trace->AddCounter(stage.utilization_counter, "telemetry", 0,
+                      static_cast<int>(s), now,
+                      now > 0.0 ? result.stages[s].busy_seconds / now : 0.0);
   };
 
   // Folds one request's retrieved neighbor lists into the digest and
@@ -778,9 +776,6 @@ RunServingEngine(const core::PipelineModel& model,
     if (series != nullptr) {
       series->RecordOffered(now, outcome.admitted);
     }
-    if (trace != nullptr) {
-      trace->SetThreadName(1, id, "req " + std::to_string(id));
-    }
     if (!outcome.admitted) {
       ++result.rejected;
       if (flight != nullptr) {
@@ -806,7 +801,9 @@ RunServingEngine(const core::PipelineModel& model,
 
   // On any exception below (including RAGO_CHECK invariant failures)
   // dump the flight recorder before unwinding, so the last moments of
-  // the run survive the crash.
+  // the run survive the crash. A dump that fails here is dropped:
+  // throwing from a destructor during unwinding would terminate the
+  // process and lose the exception that stopped the run.
   struct FlightAbortGuard {
     obs::FlightRecorder* flight;
     const RuntimeOptions& options;
@@ -816,7 +813,10 @@ RunServingEngine(const core::PipelineModel& model,
       if (flight != nullptr && std::uncaught_exceptions() > 0) {
         flight->Append(now, "exception", label + " aborted by exception");
         if (!options.flight_dump_path.empty()) {
-          flight->DumpToFile(options.flight_dump_path);
+          try {
+            flight->DumpToFile(options.flight_dump_path);
+          } catch (const std::exception&) {
+          }
         }
       }
     }
@@ -887,25 +887,6 @@ RunServingEngine(const core::PipelineModel& model,
 
   result.makespan = now;
   Aggregate(options, decode_busy_time, result);
-
-  // Counter tracks: replay each stage's recorded timeline as Chrome
-  // "C" events so viewers draw queue-depth and utilization graphs
-  // alongside the spans. Reads the finished timelines only.
-  if (trace != nullptr) {
-    for (size_t s = 0; s < result.stages.size(); ++s) {
-      const StageTelemetry& telemetry = result.stages[s];
-      const std::string name = std::string(core::StageName(telemetry.type)) +
-                               " s" + std::to_string(s);
-      for (const StageTimelinePoint& point : telemetry.timeline) {
-        trace->AddCounter("queue-depth: " + name, "telemetry", 0,
-                          static_cast<int>(s), point.time,
-                          static_cast<double>(point.queue_depth));
-        trace->AddCounter("utilization: " + name, "telemetry", 0,
-                          static_cast<int>(s), point.time,
-                          point.utilization);
-      }
-    }
-  }
 
   // Cache-tier telemetry: counter state only ever mutates inside the
   // serial loop, so it is independent of scan interleaving.

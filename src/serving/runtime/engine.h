@@ -85,8 +85,6 @@ struct RuntimeOptions {
    * Not owned; must outlive the call.
    */
   const retrieval::RetrievalModel* retrieval_model = nullptr;
-  /// Per-stage queue-depth timeline samples kept (0 disables).
-  int timeline_limit = 4096;
   /**
    * Multi-level cache tier (serving/cache/rago_cache.h). With
    * retrieval_capacity > 0, requests whose query fingerprint is cached
@@ -103,7 +101,10 @@ struct RuntimeOptions {
 
   /**
    * Optional span-trace recorder (serving/obs/trace.h): admission,
-   * queue, batch, stage, cache and decode spans on the virtual clock.
+   * queue, batch, stage, cache and decode spans on the virtual clock,
+   * plus per-stage queue-depth and utilization counter tracks (one
+   * sample per enqueue and per batch start, the first 4096 of each
+   * stage).
    * Observation-only by contract: every RuntimeResult field, including
    * the outcome digest, is bit-identical with tracing on or off. Not
    * owned; must outlive the call. Appends happen on the serial loop.
@@ -140,26 +141,13 @@ struct RuntimeOptions {
    * the loop. Not owned.
    */
   obs::FlightRecorder* flight = nullptr;
-  /// Dump target for the flight recorder; empty = no dump.
+  /// Dump target for the flight recorder; empty = no dump. A dump
+  /// that fails while an exception unwinds the loop is dropped so the
+  /// original exception propagates.
   std::string flight_dump_path;
-  /**
-   * Exact samples each latency recorder (TTFT/TPOT/queue-wait, per
-   * stage and aggregate) keeps before folding into the bounded
-   * streaming representation (common/histogram.h). The switchover is
-   * a pure function of the sample count and is surfaced via
-   * RuntimeResult::streaming_histograms. Must be positive.
-   */
-  int64_t histogram_sample_cap = Histogram::kDefaultSampleCap;
 
   /// Throws ConfigError on invalid knobs.
   void Validate() const;
-};
-
-/// One (virtual time, state) sample of a stage's telemetry timeline.
-struct StageTimelinePoint {
-  double time = 0.0;        ///< Virtual seconds.
-  int queue_depth = 0;      ///< Waiting requests after the event.
-  double utilization = 0.0; ///< Busy fraction of the stage so far.
 };
 
 /// Per-stage telemetry of one run.
@@ -174,7 +162,6 @@ struct StageTelemetry {
   double utilization = 0.0;   ///< busy_seconds / makespan.
   int max_queue_depth = 0;
   Histogram queue_wait;       ///< Virtual wait from enqueue to flush.
-  std::vector<StageTimelinePoint> timeline;
 };
 
 /// Outcome of one request (virtual seconds unless noted).
@@ -236,13 +223,6 @@ struct RuntimeResult {
   cache::CacheCounters retrieval_cache;
   cache::CacheCounters doc_cache;
   double measured_prefix_hit_rate = 0.0;
-
-  /**
-   * Latency recorders that hit RuntimeOptions::histogram_sample_cap
-   * and degraded to bounded streaming percentiles (0 in typical runs:
-   * the switchover is surfaced, never silent).
-   */
-  int streaming_histograms = 0;
 
   /// Events the loop popped (arrivals, batch completions, flush
   /// deadlines, decode steps, cache-hit deliveries). Read-only

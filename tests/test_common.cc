@@ -617,34 +617,6 @@ TEST(StreamingHistogram, ZeroSampleEdgeCases) {
   EXPECT_EQ(empty.overflow(), 0);
 }
 
-TEST(Histogram, SampleCapFoldsIntoStreamingExactlyOnce) {
-  Histogram hist(64);
-  Histogram unbounded;
-  Rng rng(37);
-  for (int i = 0; i < 1000; ++i) {
-    const double value = std::pow(10.0, rng.NextUniform(-3.0, 1.0));
-    hist.Add(value);
-    unbounded.Add(value);
-    EXPECT_EQ(hist.streaming_active(), i + 1 >= 64);
-  }
-  EXPECT_EQ(hist.count(), 1000);
-  EXPECT_FALSE(unbounded.streaming_active());
-  // Mean stays exact across the fold; percentiles degrade by at most
-  // one bin ratio.
-  EXPECT_NEAR(hist.Mean(), unbounded.Mean(),
-              1e-12 * std::fabs(unbounded.Mean()));
-  const double bin_ratio = std::pow(10.0, 1.0 / 32.0);
-  for (double p : {0.5, 0.95}) {
-    EXPECT_LE(hist.Percentile(p), unbounded.Percentile(p) * bin_ratio);
-    EXPECT_GE(hist.Percentile(p), unbounded.Percentile(p) / bin_ratio);
-  }
-}
-
-TEST(Histogram, RejectsNonPositiveSampleCap) {
-  EXPECT_THROW(Histogram(0), ConfigError);
-  EXPECT_THROW(Histogram(-5), ConfigError);
-}
-
 // ---------------------------------------------------------------------------
 // Metrics registry
 // ---------------------------------------------------------------------------

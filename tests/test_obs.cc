@@ -94,8 +94,9 @@ TEST(TraceRecorder, ChromeExportShapeIsPinned) {
   const JsonValue doc = JsonValue::Parse(recorder.ChromeTraceJson());
   EXPECT_EQ(doc.At("displayTimeUnit").AsString(), "ms");
   const JsonValue& events = doc.At("traceEvents");
-  // Metadata first (process_name, thread_name), then the two events.
-  ASSERT_EQ(events.size(), 4u);
+  // Metadata first (process_name, the explicit thread_name, then the
+  // request row named at export), then the two events.
+  ASSERT_EQ(events.size(), 5u);
 
   const JsonValue& process_meta = events.Items()[0];
   EXPECT_EQ(process_meta.At("ph").AsString(), "M");
@@ -110,9 +111,15 @@ TEST(TraceRecorder, ChromeExportShapeIsPinned) {
   EXPECT_EQ(thread_meta.At("args").At("name").AsString(),
             "server 2 (xpu)");
 
+  const JsonValue& request_meta = events.Items()[2];
+  EXPECT_EQ(request_meta.At("name").AsString(), "thread_name");
+  EXPECT_EQ(request_meta.At("pid").AsInt(), 1);
+  EXPECT_EQ(request_meta.At("tid").AsInt(), 11);
+  EXPECT_EQ(request_meta.At("args").At("name").AsString(), "req 11");
+
   // Virtual seconds scale to the microseconds chrome://tracing
   // expects; args carry the request id plus attached payload.
-  const JsonValue& complete = events.Items()[2];
+  const JsonValue& complete = events.Items()[3];
   EXPECT_EQ(complete.At("ph").AsString(), "X");
   EXPECT_EQ(complete.At("name").AsString(), "exec");
   EXPECT_EQ(complete.At("cat").AsString(), "stage");
@@ -121,7 +128,7 @@ TEST(TraceRecorder, ChromeExportShapeIsPinned) {
   EXPECT_EQ(complete.At("args").At("request").AsInt(), 11);
   EXPECT_DOUBLE_EQ(complete.At("args").At("batch").AsNumber(), 8.0);
 
-  const JsonValue& instant = events.Items()[3];
+  const JsonValue& instant = events.Items()[4];
   EXPECT_EQ(instant.At("ph").AsString(), "i");
   EXPECT_EQ(instant.At("s").AsString(), "t");
   EXPECT_DOUBLE_EQ(instant.At("ts").AsNumber(), 0.625 * 1e6);
@@ -253,8 +260,6 @@ TEST(TraceSampling, HeadSamplingCommitsExactlyTheHashSelectedSubset) {
   recorder.SetSampling(sampling);
   EXPECT_TRUE(recorder.sampling_active());
   for (int64_t id = 0; id < 100; ++id) {
-    recorder.SetThreadName(1, static_cast<int>(id),
-                           "req " + std::to_string(id));
     recorder.AddInstant("arrival", "admission", 1, static_cast<int>(id),
                         0.01 * static_cast<double>(id), id);
     recorder.FinalizeRequest(id, 1.0, false);
@@ -274,8 +279,8 @@ TEST(TraceSampling, HeadSamplingCommitsExactlyTheHashSelectedSubset) {
   EXPECT_EQ(recorder.discarded_requests(), 100 - expected);
   EXPECT_EQ(recorder.pending_requests(), 0u);
 
-  // Unsampled requests leave no metadata behind either: only sampled
-  // ids surface as pid-1 thread rows in the export.
+  // Unsampled requests leave no metadata behind either: the export
+  // names only the pid-1 rows of sampled ids.
   const JsonValue doc = JsonValue::Parse(recorder.ChromeTraceJson());
   int64_t thread_rows = 0;
   for (const JsonValue& event : doc.At("traceEvents").Items()) {

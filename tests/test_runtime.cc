@@ -13,6 +13,8 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -276,9 +278,6 @@ TEST(RuntimeOptionsTest, RejectsInvalidKnobs) {
   options.slo.ttft_seconds = 0.0;
   EXPECT_THROW(options.Validate(), ConfigError);
   options = RuntimeOptions{};
-  options.timeline_limit = -1;
-  EXPECT_THROW(options.Validate(), ConfigError);
-  options = RuntimeOptions{};
   EXPECT_NO_THROW(options.Validate());
 }
 
@@ -329,7 +328,6 @@ TEST(ServingRuntimeTest, ServesPoissonWorkloadEndToEnd) {
   EXPECT_GT(result.stages[0].batches, 0);
   EXPECT_GE(result.stages[0].batches, result.stages[0].full_batches);
   EXPECT_EQ(result.stages[0].queue_wait.count(), 200);
-  EXPECT_FALSE(result.stages[0].timeline.empty());
   for (const StageTelemetry& stage : result.stages) {
     EXPECT_GE(stage.utilization, 0.0);
     EXPECT_LE(stage.utilization, 1.01);
@@ -473,7 +471,6 @@ TEST(ServingRuntimeTest, ObservabilityIsDigestNeutralAcrossThreadCounts) {
     EXPECT_EQ(traced.max_decode_queue_depth, plain.max_decode_queue_depth);
     EXPECT_EQ(traced.measured_prefix_hit_rate,
               plain.measured_prefix_hit_rate);
-    EXPECT_EQ(traced.streaming_histograms, plain.streaming_histograms);
     for (double p : {0.5, 0.95, 0.99}) {
       EXPECT_EQ(traced.ttft.Percentile(p), plain.ttft.Percentile(p));
       EXPECT_EQ(traced.tpot.Percentile(p), plain.tpot.Percentile(p));
@@ -512,48 +509,6 @@ TEST(ServingRuntimeTest, ObservabilityIsDigestNeutralAcrossThreadCounts) {
     EXPECT_EQ(recorder.RequestSummaryJson(),
               base_recorder.RequestSummaryJson());
     EXPECT_EQ(recorder.size(), base_recorder.size());
-  }
-}
-
-TEST(ServingRuntimeTest, HistogramSampleCapSwitchoverIsSurfacedNotSilent) {
-  // Direction-5 soak blocker: the exact-sample recorders grow without
-  // bound on long traces. Past the configured cap they must fold into
-  // the bounded streaming form, report it via streaming_histograms,
-  // and leave every digest-covered field untouched.
-  const core::PipelineModel model = rago::testing::TinyHyperscaleModel();
-  const core::Schedule schedule = SimpleSchedule(model, 8, 8, 4, 64);
-  const LiveTier tier = MakeLiveTier();
-  const ArrivalTrace trace = PoissonTrace(150, 120.0, 17);
-
-  RuntimeOptions exact_options;
-  exact_options.top_k = 5;
-  const RuntimeResult exact =
-      ServingRuntime(model, schedule, tier.index, exact_options)
-          .Serve(trace, tier.queries);
-  EXPECT_EQ(exact.streaming_histograms, 0);
-  EXPECT_FALSE(exact.ttft.streaming_active());
-
-  RuntimeOptions capped_options;
-  capped_options.top_k = 5;
-  capped_options.histogram_sample_cap = 32;  // 150 samples exceed it.
-  const RuntimeResult capped =
-      ServingRuntime(model, schedule, tier.index, capped_options)
-          .Serve(trace, tier.queries);
-  EXPECT_GT(capped.streaming_histograms, 0);
-  EXPECT_TRUE(capped.ttft.streaming_active());
-  EXPECT_EQ(capped.ttft.count(), exact.ttft.count());
-
-  // Outcomes are histogram-independent: the digest cannot move.
-  EXPECT_EQ(capped.outcome_digest, exact.outcome_digest);
-  EXPECT_EQ(capped.makespan, exact.makespan);
-  // Streaming percentiles track the exact ones within one bin ratio
-  // (bins_per_decade = 32 -> ratio 10^(1/32) ~ 1.075).
-  const double bin_ratio = std::pow(10.0, 1.0 / 32.0);
-  for (double p : {0.5, 0.95}) {
-    const double approx = capped.ttft.Percentile(p);
-    const double truth = exact.ttft.Percentile(p);
-    EXPECT_LE(approx, truth * bin_ratio);
-    EXPECT_GE(approx, truth / bin_ratio);
   }
 }
 
@@ -858,10 +813,65 @@ TEST(ServingRuntimeTest, AlertsWithoutTimeseriesAreRejected) {
                ConfigError);
 }
 
-TEST(ServingRuntimeTest, CounterTracksExportStageTimelines) {
-  // Satellite of the telemetry layer: the per-stage queue-depth /
-  // utilization timelines the runtime already aggregates replay into
-  // Chrome "C" counter events, one pair per timeline point.
+TEST(ServingRuntimeTest, FailedFlightDumpKeepsTheUnwindingException) {
+  // The abort guard dumps the flight ring while the hook's exception
+  // unwinds the loop. A dump that throws as well must be dropped, not
+  // terminate the process, and the hook's exception must propagate.
+  const core::PipelineModel model = rago::testing::TinyHyperscaleModel();
+  const core::Schedule schedule = SimpleSchedule(model, 8, 8, 4, 64);
+  struct ScanFailure : std::runtime_error {
+    using std::runtime_error::runtime_error;
+  };
+  const RetrievalHook failing_scan =
+      [](const std::vector<int>&, RuntimeResult&) -> std::vector<Retrieved> {
+    throw ScanFailure("scan failed");
+  };
+  obs::FlightRecorder flight(16);
+  RuntimeOptions options;
+  options.flight = &flight;
+  options.flight_dump_path = "no_such_directory/flight.json";
+  EXPECT_THROW(RunServingEngine(model, schedule, options,
+                                PoissonTrace(16, 100.0, 5), "run",
+                                failing_scan),
+               ScanFailure);
+  ASSERT_GT(flight.size(), 0u);
+  EXPECT_EQ(flight.records().back().kind, "exception");
+}
+
+/// Stage name of a counter track ("queue-depth: retrieval s0" ->
+/// "retrieval").
+std::string CounterStage(const std::string& track) {
+  const size_t colon = track.find(": ");
+  const size_t index = track.rfind(" s");
+  EXPECT_NE(colon, std::string::npos) << track;
+  EXPECT_NE(index, std::string::npos) << track;
+  return track.substr(colon + 2, index - colon - 2);
+}
+
+/// Counter events per stage name, both tracks together.
+std::map<std::string, int64_t> CounterEventsByStage(
+    const obs::TraceRecorder& recorder) {
+  std::map<std::string, int64_t> counts;
+  for (const obs::TraceEvent& event : recorder.events()) {
+    if (event.phase != obs::TraceEvent::Phase::kCounter) {
+      continue;
+    }
+    EXPECT_TRUE(event.name.rfind("queue-depth: ", 0) == 0 ||
+                event.name.rfind("utilization: ", 0) == 0)
+        << "unexpected counter track: " << event.name;
+    EXPECT_GE(event.args.at(0).second, 0.0);
+    ++counts[CounterStage(event.name)];
+  }
+  return counts;
+}
+
+/// One queue-depth and one utilization sample per enqueue and per
+/// batch start, for the first 4096 of each stage.
+int64_t ExpectedCounterEvents(int64_t requests, int64_t batches) {
+  return 2 * std::min<int64_t>(requests + batches, 4096);
+}
+
+TEST(ServingRuntimeTest, CounterTracksSampleEveryEnqueueAndBatchStart) {
   const core::PipelineModel model = rago::testing::TinyHyperscaleModel();
   const core::Schedule schedule = SimpleSchedule(model, 8, 8, 4, 64);
   const LiveTier tier = MakeLiveTier();
@@ -872,33 +882,52 @@ TEST(ServingRuntimeTest, CounterTracksExportStageTimelines) {
   const RuntimeResult result =
       runtime.Serve(PoissonTrace(40, 100.0, 7), tier.queries);
 
-  size_t timeline_points = 0;
+  const std::map<std::string, int64_t> counts =
+      CounterEventsByStage(recorder);
+  ASSERT_EQ(counts.size(), result.stages.size());
   for (const StageTelemetry& telemetry : result.stages) {
-    timeline_points += telemetry.timeline.size();
+    const std::string name = core::StageName(telemetry.type);
+    ASSERT_GT(telemetry.requests, 0) << name;
+    EXPECT_EQ(counts.at(name),
+              ExpectedCounterEvents(telemetry.requests, telemetry.batches))
+        << name;
   }
-  ASSERT_GT(timeline_points, 0u);
+}
 
-  int64_t queue_counters = 0;
-  int64_t util_counters = 0;
-  const JsonValue doc = JsonValue::Parse(recorder.ChromeTraceJson());
-  for (const JsonValue& event : doc.At("traceEvents").Items()) {
-    if (event.At("ph").AsString() != "C") {
-      continue;
-    }
-    const std::string& name = event.At("name").AsString();
-    const double value = event.At("args").At("value").AsNumber();
-    if (name.rfind("queue-depth: ", 0) == 0) {
-      ++queue_counters;
-      EXPECT_GE(value, 0.0);
-    } else if (name.rfind("utilization: ", 0) == 0) {
-      ++util_counters;
-      EXPECT_GE(value, 0.0);
-    } else {
-      ADD_FAILURE() << "unexpected counter track: " << name;
+TEST(ServingRuntimeTest, DesCounterTracksStopAtThePerStageCap) {
+  // 4000 requests in batches of at most 4: every stage records more
+  // than 4096 enqueues plus batch starts. Requests and batches per
+  // stage are read back from the server-row batch spans.
+  const core::PipelineModel model = rago::testing::TinyHyperscaleModel();
+  const core::Schedule schedule = SimpleSchedule(model, 8, 8, 4, 64);
+  obs::TraceRecorder recorder;
+  sim::ServingSimOptions options;
+  options.trace = &recorder;
+  sim::SimulateServing(model, schedule, PoissonTrace(4000, 200.0, 19),
+                       options);
+
+  std::map<std::string, int64_t> requests;
+  std::map<std::string, int64_t> batches;
+  for (const obs::TraceEvent& event : recorder.events()) {
+    if (event.pid == 0 && !event.args.empty() &&
+        event.args.front().first == "batch") {
+      const std::string stage = event.name.substr(0, event.name.rfind(" x"));
+      requests[stage] += static_cast<int64_t>(event.args.front().second);
+      ++batches[stage];
     }
   }
-  EXPECT_EQ(queue_counters, static_cast<int64_t>(timeline_points));
-  EXPECT_EQ(util_counters, static_cast<int64_t>(timeline_points));
+  const std::map<std::string, int64_t> counts =
+      CounterEventsByStage(recorder);
+  ASSERT_EQ(counts.size(), batches.size());
+  bool capped = false;
+  for (const auto& [stage, count] : batches) {
+    EXPECT_EQ(requests.at(stage), 4000) << stage;
+    capped = capped || requests.at(stage) + count > 4096;
+    EXPECT_EQ(counts.at(stage),
+              ExpectedCounterEvents(requests.at(stage), count))
+        << stage;
+  }
+  EXPECT_TRUE(capped);
 }
 
 // ---------------------------------------------------------------------------

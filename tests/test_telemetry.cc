@@ -417,5 +417,15 @@ TEST(FlightRecorderTest, JsonAndFileDumpsAreLoadable) {
   std::remove(path.c_str());
 }
 
+TEST(FlightRecorderTest, DumpReportsAFailedWrite) {
+  // /dev/full opens fine and fails every write with ENOSPC; buffered
+  // output surfaces that at the flush in fclose.
+  FlightRecorder flight(8);
+  flight.Append(0.5, "note", "begin");
+  EXPECT_THROW(flight.DumpToFile("/dev/full"), ConfigError);
+  EXPECT_THROW(flight.DumpToFile("no_such_directory/flight.json"),
+               ConfigError);
+}
+
 }  // namespace
 }  // namespace rago
