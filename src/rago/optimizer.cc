@@ -1,7 +1,6 @@
 #include "rago/optimizer.h"
 
 #include <algorithm>
-#include <atomic>
 #include <functional>
 #include <limits>
 #include <map>
@@ -29,6 +28,7 @@ struct GroupOption {
   int64_t batch = 1;
   double latency = 0.0;           ///< Sum of member stage latencies.
   double seconds_per_request = 0.0;  ///< Time-multiplexed 1/throughput.
+  bool pilot = false;  ///< Its batch is on the pilot pass's coarse grid.
 };
 
 /// One pre-evaluated decode setting.
@@ -37,6 +37,10 @@ struct DecodeOption {
   int64_t batch = 1;
   double latency = 0.0;  ///< Step latency.
   double throughput = 0.0;
+  /// Upper bound on the request rate any schedule with this setting
+  /// reaches (iterative stalls only lower it).
+  double throughput_bound = 0.0;
+  bool pilot = false;  ///< Its batch is on the pilot pass's coarse grid.
 };
 
 /// 3-objective dominance: fewer chips, lower latency, lower busy time.
@@ -88,6 +92,10 @@ std::vector<Option> PruneOptions(std::vector<Option> options, Dom dominates) {
   }
   return kept;
 }
+
+/// The pilot pass of the branch-and-bound search enumerates only every
+/// kPilotStride-th group and decode batch size (indexes 0, 5, 10, ...).
+constexpr size_t kPilotStride = 5;
 
 /// Key for memoized stage lookups.
 uint64_t CacheKey(int a, int b, int64_t c) {
@@ -380,6 +388,21 @@ Optimizer::Search(const StagePerfProvider& provider) const {
       has_retrieval ? model_.RetrievalChipEquivalents(servers) : 0;
   const int decode_tokens = model_.schema().workload.decode_tokens;
 
+  // Retrieval extremes for the subtree bounds: every schedule adds one
+  // option's latency to its TTFT and one option's latency/batch to a
+  // paused group's busy time, and is capped by one option's rate.
+  double min_retrieval_latency = std::numeric_limits<double>::infinity();
+  double min_retrieval_pause = std::numeric_limits<double>::infinity();
+  double max_retrieval_throughput = 0.0;
+  for (const RetrievalOption& retr : retrieval_options) {
+    min_retrieval_latency = std::min(min_retrieval_latency, retr.latency);
+    min_retrieval_pause = std::min(
+        min_retrieval_pause, retr.latency / static_cast<double>(retr.batch));
+    max_retrieval_throughput =
+        std::max(max_retrieval_throughput, retr.request_throughput);
+  }
+  const double retrieval_rate_bound = max_retrieval_throughput / retrieval_load;
+
   // -------------------------------------------------------------------
   // Step 2 prep: per-placement option tables assembled from the profile
   // table (pure arithmetic; no model evaluation).
@@ -396,6 +419,7 @@ Optimizer::Search(const StagePerfProvider& provider) const {
         GroupOption option;
         option.chips = chip_grid[c];
         option.batch = batch;
+        option.pilot = b % kPilotStride == 0;
         bool feasible = true;
         double mem = 0.0;
         for (size_t i = 0; i < kStages; ++i) {
@@ -436,6 +460,11 @@ Optimizer::Search(const StagePerfProvider& provider) const {
       option.batch = options_.decode_batch_sizes[db];
       option.latency = perf.latency;
       option.throughput = perf.throughput;
+      option.throughput_bound =
+          iterative ? static_cast<double>(option.batch) /
+                          (decode_tokens * option.latency)
+                    : option.throughput;
+      option.pilot = db % kPilotStride == 0;
       decode_options.push_back(option);
     }
   }
@@ -543,31 +572,24 @@ Optimizer::Search(const StagePerfProvider& provider) const {
     std::map<std::string, ScheduleFront> plan_fronts;
     int64_t evaluated = 0;
     int64_t feasible = 0;
+    int64_t pruned = 0;
   };
   std::vector<TaskResult> slots(tasks.size());
-  std::atomic<int64_t> evaluated_total{0};
-  std::atomic<int64_t> feasible_total{0};
+
+  /// Chain terms of one group assignment, shared by every decode,
+  /// retrieval and iterative choice below it.
+  struct ChainSums {
+    double latency = 0.0;
+    /// Rate of the groups unaffected by the retrieval pause.
+    double fixed_throughput = std::numeric_limits<double>::infinity();
+    /// Busy time of the (single) group that pauses for retrieval.
+    double span_spr = 0.0;
+  };
 
   auto run_combination = [&](const EnumContext& ctx,
                              const std::vector<GroupOption>& chosen,
-                             int used_chips, const DecodeOption& decode,
-                             TaskResult& local) {
-    double chain_latency = 0.0;
-    // Throughput split into the groups unaffected by the retrieval
-    // pause and the (single) group that pauses, which depends on the
-    // retrieval option below.
-    double fixed_throughput = std::numeric_limits<double>::infinity();
-    double span_spr = 0.0;
-    for (int g = 0; g < ctx.groups; ++g) {
-      const GroupOption& option = chosen[static_cast<size_t>(g)];
-      chain_latency += option.latency;
-      if (g == ctx.span_group) {
-        span_spr = option.seconds_per_request;
-      } else {
-        fixed_throughput =
-            std::min(fixed_throughput, 1.0 / option.seconds_per_request);
-      }
-    }
+                             const ChainSums& sums, int used_chips,
+                             const DecodeOption& decode, TaskResult& local) {
     const int prefix_chips = chosen.back().chips;  // Prefix: last group.
     const size_t prefix_chip_idx = chip_index(prefix_chips);
     const int chip_equiv =
@@ -596,6 +618,7 @@ Optimizer::Search(const StagePerfProvider& provider) const {
     };
 
     std::string plan_label;
+    ScheduleFront* plan_front = nullptr;  // Looked up on first offer.
     if (options_.keep_plan_frontiers) {
       plan_label = PlacementLabel(*ctx.placement) + " chips=";
       for (int g = 0; g < ctx.groups; ++g) {
@@ -606,11 +629,11 @@ Optimizer::Search(const StagePerfProvider& provider) const {
     }
 
     for (const RetrievalOption& retr : retrieval_options) {
-      const double ttft = chain_latency + retr.latency;
-      double chain_throughput = fixed_throughput;
+      const double ttft = sums.latency + retr.latency;
+      double chain_throughput = sums.fixed_throughput;
       if (ctx.span_group >= 0) {
         const double paused_spr =
-            span_spr + retr.latency / static_cast<double>(retr.batch);
+            sums.span_spr + retr.latency / static_cast<double>(retr.batch);
         chain_throughput = std::min(chain_throughput, 1.0 / paused_spr);
       }
       for (const IterOption& iter : iter_options) {
@@ -645,54 +668,164 @@ Optimizer::Search(const StagePerfProvider& provider) const {
           local.front.Offer(ttft, qpc, make_schedule(retr, iter));
         }
         if (options_.keep_plan_frontiers) {
-          auto& plan_front = local.plan_fronts[plan_label];
-          if (plan_front.WouldAccept(ttft, qpc)) {
-            plan_front.Offer(ttft, qpc, make_schedule(retr, iter));
+          if (plan_front == nullptr) {
+            plan_front = &local.plan_fronts[plan_label];
+          }
+          if (plan_front->WouldAccept(ttft, qpc)) {
+            plan_front->Offer(ttft, qpc, make_schedule(retr, iter));
           }
         }
       }
     }
   };
 
-  ParallelFor(pool, tasks.size(), [&](size_t t) {
-    const EnumTask& task = tasks[t];
+  // Branch and bound. Each group assignment (leaf) and each decode
+  // option under it gets an admissible TTFT lower bound and QPS/Chip
+  // upper bound, computed with the same operations as run_combination
+  // so every schedule below is no better than the bound bit for bit.
+  // A subtree is skipped only when a real schedule already seen
+  // strictly dominates its bound; then it holds no frontier point and
+  // no objective tie of one, so the frontier (points and tie-broken
+  // schedules) is exactly the exhaustive one. Per-plan frontiers need
+  // every point, so keep_plan_frontiers enumerates exhaustively.
+  const bool branch_and_bound = !options_.keep_plan_frontiers;
+
+  /// Decode settings that fit a remaining chip budget: entry r covers
+  /// the options with chips <= r.
+  struct DecodeReach {
+    int min_chips = std::numeric_limits<int>::max();  ///< None fits.
+    double max_throughput_bound = 0.0;
+  };
+  auto decode_reach = [&](bool pilot) {
+    std::vector<DecodeReach> reach(static_cast<size_t>(budget) + 1);
+    for (const DecodeOption& decode : decode_options) {
+      if (pilot && !decode.pilot) {
+        continue;
+      }
+      for (int r = decode.chips; r <= budget; ++r) {
+        DecodeReach& entry = reach[static_cast<size_t>(r)];
+        entry.min_chips = std::min(entry.min_chips, decode.chips);
+        entry.max_throughput_bound =
+            std::max(entry.max_throughput_bound, decode.throughput_bound);
+      }
+    }
+    return reach;
+  };
+  const std::vector<DecodeReach> full_reach = decode_reach(false);
+  const std::vector<DecodeReach> pilot_reach =
+      branch_and_bound ? decode_reach(true) : std::vector<DecodeReach>{};
+
+  // Enumerates one task's subtree. The pilot pass keeps only options
+  // on the coarse batch grid; `seed` (the merged pilot frontier, or
+  // null) prunes alongside the task's own front. Both hold only
+  // evaluated schedules and depend on the task alone, so the counters
+  // are thread-count-invariant.
+  auto run_task = [&](const EnumTask& task, bool pilot,
+                      const ScheduleFront* seed, TaskResult& local) {
     const EnumContext& ctx = *task.ctx;
-    TaskResult& local = slots[t];
+    const GroupOption& first = ctx.tables[0][static_cast<size_t>(task.i0)];
+    const GroupOption* second =
+        task.i1 >= 0 ? &ctx.tables[1][static_cast<size_t>(task.i1)] : nullptr;
+    if (pilot && (!first.pilot || (second != nullptr && !second->pilot))) {
+      return;
+    }
+    const std::vector<DecodeReach>& reach = pilot ? pilot_reach : full_reach;
+    auto rejects = [&](double ttft_bound, double qpc_bound) {
+      return !local.front.WouldAccept(ttft_bound, qpc_bound) ||
+             (seed != nullptr && !seed->WouldAccept(ttft_bound, qpc_bound));
+    };
+
     std::vector<GroupOption> chosen(static_cast<size_t>(ctx.groups));
-    chosen[0] = ctx.tables[0][static_cast<size_t>(task.i0)];
-    int used = chosen[0].chips;
+    chosen[0] = first;
+    int used = first.chips;
     int start = 1;
-    if (task.i1 >= 0) {
-      chosen[1] = ctx.tables[1][static_cast<size_t>(task.i1)];
-      used += chosen[1].chips;
+    if (second != nullptr) {
+      chosen[1] = *second;
+      used += second->chips;
       start = 2;
     }
-    std::function<void(int, int)> recurse = [&](int g, int used_chips) {
-      if (g == ctx.groups) {
-        for (const DecodeOption& decode : decode_options) {
-          if (used_chips + decode.chips > budget) {
-            continue;
-          }
-          run_combination(ctx, chosen, used_chips, decode, local);
+
+    auto leaf = [&](int used_chips) {
+      ChainSums sums;
+      for (int g = 0; g < ctx.groups; ++g) {
+        const GroupOption& option = chosen[static_cast<size_t>(g)];
+        sums.latency += option.latency;
+        if (g == ctx.span_group) {
+          sums.span_spr = option.seconds_per_request;
+        } else {
+          sums.fixed_throughput = std::min(sums.fixed_throughput,
+                                           1.0 / option.seconds_per_request);
         }
+      }
+      const DecodeReach& fit = reach[static_cast<size_t>(budget - used_chips)];
+      if (fit.min_chips == std::numeric_limits<int>::max()) {
+        return;  // No decode option fits the remaining chips.
+      }
+      const double ttft_bound = sums.latency + min_retrieval_latency;
+      double rate_bound = std::min(sums.fixed_throughput, retrieval_rate_bound);
+      if (ctx.span_group >= 0) {
+        rate_bound = std::min(rate_bound,
+                              1.0 / (sums.span_spr + min_retrieval_pause));
+      }
+      if (branch_and_bound &&
+          rejects(ttft_bound,
+                  std::min(rate_bound, fit.max_throughput_bound) /
+                      std::max(used_chips + fit.min_chips, retrieval_equiv))) {
+        ++local.pruned;
+        return;
+      }
+      for (const DecodeOption& decode : decode_options) {
+        if ((pilot && !decode.pilot) || used_chips + decode.chips > budget) {
+          continue;
+        }
+        if (branch_and_bound &&
+            rejects(ttft_bound,
+                    std::min(rate_bound, decode.throughput_bound) /
+                        std::max(used_chips + decode.chips, retrieval_equiv))) {
+          ++local.pruned;
+          continue;
+        }
+        run_combination(ctx, chosen, sums, used_chips, decode, local);
+      }
+    };
+    auto recurse = [&](auto& self, int g, int used_chips) -> void {
+      if (g == ctx.groups) {
+        leaf(used_chips);
         return;
       }
       for (const GroupOption& option : ctx.tables[static_cast<size_t>(g)]) {
-        if (!within_budget(ctx, g, used_chips, option.chips)) {
+        if ((pilot && !option.pilot) ||
+            !within_budget(ctx, g, used_chips, option.chips)) {
           continue;
         }
         chosen[static_cast<size_t>(g)] = option;
-        recurse(g + 1, used_chips + option.chips);
+        self(self, g + 1, used_chips + option.chips);
       }
     };
-    recurse(start, used);
-    // Counter updates stay atomic (totals are partition-invariant);
-    // frontiers merge after the barrier below.
-    evaluated_total.fetch_add(local.evaluated, std::memory_order_relaxed);
-    feasible_total.fetch_add(local.feasible, std::memory_order_relaxed);
+    recurse(recurse, start, used);
+  };
+
+  // Pilot pass: the same tasks over the coarse batch grid. Its points
+  // are real schedules of the full space, computed by the same
+  // arithmetic, so the merged pilot frontier is a sound seed bound.
+  ScheduleFront seed;
+  if (branch_and_bound) {
+    ParallelFor(pool, tasks.size(), [&](size_t t) {
+      run_task(tasks[t], /*pilot=*/true, nullptr, slots[t]);
+    });
+    for (TaskResult& slot : slots) {
+      seed.Merge(std::move(slot.front));
+    }
+  }
+  ParallelFor(pool, tasks.size(), [&](size_t t) {
+    run_task(tasks[t], /*pilot=*/false, branch_and_bound ? &seed : nullptr,
+             slots[t]);
   });
-  result.schedules_evaluated = evaluated_total.load();
-  result.schedules_feasible = feasible_total.load();
+  for (const TaskResult& slot : slots) {
+    result.schedules_evaluated += slot.evaluated;
+    result.schedules_feasible += slot.feasible;
+    result.subtrees_pruned += slot.pruned;
+  }
 
   // --- Order-independent reduction of per-task frontiers. ---
   ScheduleFront front;

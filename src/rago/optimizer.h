@@ -1,6 +1,6 @@
 /**
  * @file optimizer.h
- * RAGO: exhaustive search for optimal RAG serving schedules.
+ * RAGO: exact branch-and-bound search for optimal RAG serving schedules.
  *
  * Implements the paper's Algorithm 1. Given a RAGSchema and resource
  * constraints, RAGO explores:
@@ -15,6 +15,15 @@
  * (with optional per-stage Pareto pruning); Steps 2-3 enumerate
  * schedules and assemble end-to-end performance from the profiles,
  * keeping the TTFT x QPS/Chip Pareto frontier.
+ *
+ * Steps 2-3 run as branch and bound: a pilot pass over every fifth
+ * batch size seeds a frontier, then each group assignment and each
+ * decode option under it is skipped when an admissible (TTFT lower,
+ * QPS/Chip upper) bound is strictly dominated by a schedule already
+ * evaluated. The bounds use the enumeration's own arithmetic, so the
+ * frontier — points and tie-broken schedules — is bit-identical to the
+ * exhaustive enumeration (paper Fig. 16: most plans cannot reach the
+ * global frontier). Only keep_plan_frontiers enumerates exhaustively.
  */
 #ifndef RAGO_RAGO_OPTIMIZER_H
 #define RAGO_RAGO_OPTIMIZER_H
@@ -44,7 +53,10 @@ struct SearchOptions {
   /// step 1). Disabling is exposed for the pruning ablation bench.
   bool per_stage_pareto_pruning = true;
   /// Keep one Pareto frontier per (placement, allocation) plan for
-  /// Pareto-composition plots (paper Fig. 16/18). Costs memory.
+  /// Pareto-composition plots (paper Fig. 16/18). Costs memory, and
+  /// turns off branch-and-bound pruning: a plan frontier needs points
+  /// the global bound would skip, so the search enumerates every
+  /// schedule (the exhaustive reference the pruned search must match).
   bool keep_plan_frontiers = false;
   /// Restrict the search to one placement (index into
   /// PlacementOptions()); -1 searches all placements.
@@ -79,8 +91,12 @@ struct OptimizerResult {
   std::vector<ScheduledPoint> pareto;
   /// Per-plan frontiers (only when keep_plan_frontiers is set).
   std::vector<PlanFrontier> plan_frontiers;
+  /// Schedules priced (pilot pass included) and the feasible ones.
   int64_t schedules_evaluated = 0;
   int64_t schedules_feasible = 0;
+  /// Group-assignment and decode subtrees skipped by branch and bound
+  /// (0 with keep_plan_frontiers). Thread-count-invariant.
+  int64_t subtrees_pruned = 0;
 
   /// Highest-QPS/Chip point on the frontier (requires non-empty).
   const ScheduledPoint& MaxQpsPerChip() const;

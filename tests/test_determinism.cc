@@ -12,6 +12,7 @@
 
 #include "common/rng.h"
 #include "core/pipeline_model.h"
+#include "core/schema.h"
 #include "rago/optimizer.h"
 #include "retrieval/ann/dataset.h"
 #include "retrieval/ann/ivf_index.h"
@@ -122,6 +123,44 @@ TEST(Determinism, OptimizerFrontierIsThreadCountInvariant) {
         opt::Optimizer(model, options).Search();
     ExpectIdenticalResults(serial, parallel,
                            "threads=" + std::to_string(threads));
+  }
+}
+
+TEST(Determinism, PrunedOptimizerSearchIsThreadCountInvariant) {
+  // Default options run branch and bound: each task prunes against its
+  // own front and the merged pilot front, never another task's, so
+  // what is evaluated and what is pruned must not depend on the
+  // partition of tasks across workers.
+  opt::SearchOptions coarse;
+  coarse.batch_sizes = {1, 4, 16, 64};
+  coarse.decode_batch_sizes = {16, 64, 256};
+  struct Case {
+    const char* name;
+    core::RAGSchema schema;
+    opt::SearchOptions options;
+  };
+  const Case cases[] = {
+      {"long-context", rago::testing::TinyLongContextSchema(1'000'000),
+       SmallSearchGrid()},
+      {"rewriter-reranker", core::MakeRewriterRerankerSchema(8), coarse},
+  };
+  for (const Case& c : cases) {
+    const core::PipelineModel model(c.schema, DefaultCluster());
+    opt::SearchOptions options = c.options;
+    options.num_threads = 1;
+    const opt::OptimizerResult serial =
+        opt::Optimizer(model, options).Search();
+    ASSERT_FALSE(serial.pareto.empty()) << c.name;
+    EXPECT_GT(serial.subtrees_pruned, 0) << c.name;
+    for (int threads : {2, 8}) {
+      options.num_threads = threads;
+      const opt::OptimizerResult parallel =
+          opt::Optimizer(model, options).Search();
+      const std::string label =
+          std::string(c.name) + " threads=" + std::to_string(threads);
+      ExpectIdenticalResults(serial, parallel, label);
+      EXPECT_EQ(serial.subtrees_pruned, parallel.subtrees_pruned) << label;
+    }
   }
 }
 

@@ -7,7 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/check.h"
 #include "core/pipeline_model.h"
@@ -21,6 +25,151 @@ namespace {
 
 /// Small grids keep unit-test searches fast.
 SearchOptions SmallGrid() { return rago::testing::SmallSearchGrid(); }
+
+/// FNV-1a over every bit the frontier reports: TTFT, QPS and QPS/Chip
+/// of each point, and every field of its schedule, in frontier order.
+uint64_t FrontierDigest(const OptimizerResult& result) {
+  uint64_t hash = 14695981039346656037ull;
+  auto fold = [&hash](uint64_t value) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (value >> (byte * 8)) & 0xffu;
+      hash *= 1099511628211ull;
+    }
+  };
+  auto fold_double = [&fold](double value) {
+    uint64_t bits = 0;
+    std::memcpy(&bits, &value, sizeof(bits));
+    fold(bits);
+  };
+  fold(result.pareto.size());
+  for (const ScheduledPoint& point : result.pareto) {
+    fold_double(point.perf.ttft);
+    fold_double(point.perf.qps);
+    fold_double(point.perf.qps_per_chip);
+    const core::Schedule& s = point.schedule;
+    fold(s.chain_group.size());
+    for (const int g : s.chain_group) {
+      fold(static_cast<uint64_t>(g));
+    }
+    fold(s.group_chips.size());
+    for (const int chips : s.group_chips) {
+      fold(static_cast<uint64_t>(chips));
+    }
+    fold(s.chain_batch.size());
+    for (const int64_t batch : s.chain_batch) {
+      fold(static_cast<uint64_t>(batch));
+    }
+    fold(static_cast<uint64_t>(s.decode_chips));
+    fold(static_cast<uint64_t>(s.decode_batch));
+    fold(static_cast<uint64_t>(s.retrieval_servers));
+    fold(static_cast<uint64_t>(s.retrieval_batch));
+    fold(static_cast<uint64_t>(s.iterative_batch));
+  }
+  return hash;
+}
+
+/// Exact equality of two frontiers: every point's TTFT, QPS and
+/// QPS/Chip bits and every schedule field, in order.
+void ExpectSameFrontier(const OptimizerResult& expected,
+                        const OptimizerResult& actual,
+                        const std::string& label) {
+  ASSERT_EQ(expected.pareto.size(), actual.pareto.size()) << label;
+  for (size_t i = 0; i < expected.pareto.size(); ++i) {
+    const ScheduledPoint& x = expected.pareto[i];
+    const ScheduledPoint& y = actual.pareto[i];
+    EXPECT_EQ(x.perf.ttft, y.perf.ttft) << label << " point " << i;
+    EXPECT_EQ(x.perf.qps, y.perf.qps) << label << " point " << i;
+    EXPECT_EQ(x.perf.qps_per_chip, y.perf.qps_per_chip)
+        << label << " point " << i;
+    EXPECT_TRUE(x.schedule == y.schedule) << label << " point " << i;
+  }
+}
+
+/// Branch and bound must reproduce the exhaustive enumeration
+/// (keep_plan_frontiers) exactly on every schema factory and a spread
+/// of grids on `cluster`. The rewriter-reranker schemas run only the
+/// grids whose exhaustive reference stays near a second; their default
+/// grid is covered by DefaultGridFrontiersArePinned.
+void ExpectBranchAndBoundIsExact(const ClusterConfig& cluster,
+                                 bool large_cluster) {
+  struct Grid {
+    const char* name;
+    SearchOptions options;
+    bool cheap_for_rewriter;
+  };
+  std::vector<Grid> grids(6);
+  grids[0].name = "default";
+  grids[1].name = "uniform batch";
+  grids[1].options.per_group_batching = false;
+  grids[1].cheap_for_rewriter = !large_cluster;
+  grids[2].name = "no stage pruning";
+  grids[2].options.per_stage_pareto_pruning = false;
+  grids[3].name = "budget 16";
+  grids[3].options.max_total_xpus = 16;
+  grids[3].cheap_for_rewriter = !large_cluster;
+  grids[4].name = "coarse";  // The perfbench rag_scan grid.
+  grids[4].options.batch_sizes = {1, 4, 16, 64};
+  grids[4].options.decode_batch_sizes = {16, 64, 256};
+  grids[4].cheap_for_rewriter = true;
+  grids[5].name = "tiny";
+  grids[5].options.batch_sizes = {1, 16};
+  grids[5].options.decode_batch_sizes = {64};
+  grids[5].options.max_total_xpus = 8;
+  grids[5].cheap_for_rewriter = true;
+
+  struct Factory {
+    const char* name;
+    core::RAGSchema schema;
+    bool rewriter;
+  };
+  const Factory factories[] = {
+      {"hyperscale 8B", core::MakeHyperscaleSchema(8, 1), false},
+      {"hyperscale 70B", core::MakeHyperscaleSchema(70, 4), false},
+      {"long-context 8B", core::MakeLongContextSchema(8, 100'000), false},
+      {"long-context 70B", core::MakeLongContextSchema(70, 1'000'000),
+       false},
+      {"iterative 8B", core::MakeIterativeSchema(8, 4), false},
+      {"iterative 70B", core::MakeIterativeSchema(70, 2), false},
+      {"llm-only 8B", core::MakeLlmOnlySchema(8), false},
+      {"long-context llm-only 70B",
+       core::MakeLongContextLlmOnlySchema(70, 1'000'000), false},
+      {"rewriter-reranker 8B", core::MakeRewriterRerankerSchema(8), true},
+      {"rewriter-reranker 70B", core::MakeRewriterRerankerSchema(70), true},
+  };
+  int empty_frontiers = 0;
+  int64_t pruned = 0;
+  for (const Factory& factory : factories) {
+    const core::PipelineModel model(factory.schema, cluster);
+    for (const Grid& grid : grids) {
+      if (factory.rewriter && !grid.cheap_for_rewriter) {
+        continue;
+      }
+      const std::string label =
+          std::string(factory.name) + " / " + grid.name;
+      SearchOptions exhaustive = grid.options;
+      exhaustive.keep_plan_frontiers = true;
+      const OptimizerResult reference =
+          Optimizer(model, exhaustive).Search();
+      const OptimizerResult result = Optimizer(model, grid.options).Search();
+      EXPECT_EQ(reference.subtrees_pruned, 0) << label;
+      ExpectSameFrontier(reference, result, label);
+      empty_frontiers += reference.pareto.empty() ? 1 : 0;
+      pruned += result.subtrees_pruned;
+    }
+  }
+  // The sweep reaches a budget where no decode option fits, and the
+  // bounds prune.
+  EXPECT_GT(empty_frontiers, 0);
+  EXPECT_GT(pruned, 0);
+}
+
+TEST(Optimizer, BranchAndBoundMatchesExhaustiveOnDefaultCluster) {
+  ExpectBranchAndBoundIsExact(rago::DefaultCluster(), false);
+}
+
+TEST(Optimizer, BranchAndBoundMatchesExhaustiveOnLargeCluster) {
+  ExpectBranchAndBoundIsExact(rago::LargeCluster(), true);
+}
 
 TEST(Optimizer, PlacementCountIsTwoToTheStages) {
   const core::PipelineModel case1(core::MakeHyperscaleSchema(8, 1),
@@ -160,10 +309,11 @@ TEST(Optimizer, PruningPreservesTheFrontier) {
   const OptimizerResult full = Optimizer(model, without).Search();
   ASSERT_EQ(pruned.pareto.size(), full.pareto.size());
   for (size_t i = 0; i < pruned.pareto.size(); ++i) {
-    EXPECT_NEAR(pruned.pareto[i].perf.ttft, full.pareto[i].perf.ttft,
-                1e-12);
-    EXPECT_NEAR(pruned.pareto[i].perf.qps_per_chip,
-                full.pareto[i].perf.qps_per_chip, 1e-12);
+    EXPECT_EQ(pruned.pareto[i].perf.ttft, full.pareto[i].perf.ttft) << i;
+    EXPECT_EQ(pruned.pareto[i].perf.qps_per_chip,
+              full.pareto[i].perf.qps_per_chip)
+        << i;
+    EXPECT_TRUE(pruned.pareto[i].schedule == full.pareto[i].schedule) << i;
   }
   EXPECT_LE(pruned.schedules_evaluated, full.schedules_evaluated);
 }
@@ -319,6 +469,30 @@ TEST(Optimizer, MeasuredRetrievalCostsChangeTheChosenSchedule) {
               measured.pareto[i - 1].perf.ttft);
     EXPECT_GT(measured.pareto[i].perf.qps_per_chip,
               measured.pareto[i - 1].perf.qps_per_chip);
+  }
+}
+
+TEST(Optimizer, DefaultGridFrontiersArePinned) {
+  // Every bit of two full default-grid frontiers (points and
+  // schedules), recorded from the exhaustive enumeration: a search
+  // change that moves, drops or re-picks one frontier point fails here.
+  struct Case {
+    const char* name;
+    core::RAGSchema schema;
+    size_t points;
+    uint64_t digest;
+  };
+  const Case cases[] = {
+      {"rewriter-reranker 8B", core::MakeRewriterRerankerSchema(8), 18u,
+       0x0f37c5d0f86dddb1ull},
+      {"long-context 70B", core::MakeLongContextSchema(70, 1'000'000), 19u,
+       0x36cfee2e5f02e6bbull},
+  };
+  for (const Case& c : cases) {
+    const core::PipelineModel model(c.schema, rago::DefaultCluster());
+    const OptimizerResult result = Optimizer(model).Search();
+    EXPECT_EQ(result.pareto.size(), c.points) << c.name;
+    EXPECT_EQ(FrontierDigest(result), c.digest) << c.name;
   }
 }
 
