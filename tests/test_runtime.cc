@@ -1106,5 +1106,38 @@ TEST(EngineTraceDigest, SampledRuntimeTraceWithEverySinkIsPinned) {
   EXPECT_EQ(digests.events, 0x3b82413e0aa8ab42ull);
 }
 
+TEST(EngineTraceDigest, TimeSeriesAndMetricsJsonArePinned) {
+  // Bursty traffic under bounded admission fills the windows' and the
+  // registry's streaming histograms across many bins, so these bytes
+  // pin the histogram binning as well as both exports' layout.
+  const core::PipelineModel model = rago::testing::TinyHyperscaleModel();
+  const core::Schedule schedule = SimpleSchedule(model, 8, 8, 4, 64);
+  MmppOptions mmpp;
+  mmpp.quiet_qps = 60.0;
+  mmpp.burst_qps = 3000.0;
+  mmpp.mean_quiet_seconds = 0.2;
+  mmpp.mean_burst_seconds = 0.1;
+  MetricsRegistry metrics;
+  obs::TimeSeriesOptions ts_options;
+  ts_options.window_seconds = 0.1;
+  ts_options.windows_per_level = 8;
+  obs::TelemetryTimeSeries series(ts_options);
+
+  RuntimeOptions options;
+  options.admission_queue_limit = 12;
+  options.slo.ttft_seconds = 0.2;
+  options.metrics = &metrics;
+  options.timeseries = &series;
+  const RuntimeResult result = RunServingEngine(
+      model, schedule, options, MmppTrace(400, mmpp, 29), "run");
+  ASSERT_GT(result.rejected, 0);
+
+  constexpr uint64_t kOffset = 14695981039346656037ull;
+  JsonWriter metrics_json;
+  metrics.WriteJson(metrics_json);
+  EXPECT_EQ(FnvString(kOffset, series.Json()), 0x084a94b5d3700df0ull);
+  EXPECT_EQ(FnvString(kOffset, metrics_json.str()), 0xc2912412e3f3e204ull);
+}
+
 }  // namespace
 }  // namespace rago::runtime
