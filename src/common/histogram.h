@@ -2,15 +2,16 @@
  * @file histogram.h
  * Exact latency recorder.
  *
- * The serving DES and the online runtime both report latency
- * percentiles (TTFT, TPOT, queue wait). Both are bound by the repo's
+ * The serving engine reports latency percentiles (TTFT, TPOT, queue
+ * wait) for the online runtime and the DES alike, bound by the repo's
  * determinism contract — fixed seed => bit-identical statistics for
  * any thread count — so the recorder keeps every sample: percentiles
- * are pure functions of the recorded multiset, never of a binning
- * policy, and two runs that produced the same samples report the same
+ * are pure functions of the recorded multiset, never of a binning,
+ * and two runs that produced the same samples report the same
  * doubles to the last bit. Its memory is one double per sample, the
  * same order as the per-request outcomes a run already keeps; bounded
- * binned histograms live in common/metrics.h (StreamingHistogram).
+ * histograms with one fixed log-scale binning live in common/metrics.h
+ * (StreamingHistogram).
  */
 #ifndef RAGO_COMMON_HISTOGRAM_H
 #define RAGO_COMMON_HISTOGRAM_H

@@ -5,29 +5,18 @@
 
 namespace rago {
 
-void
-StreamingHistogramOptions::Validate() const {
-  RAGO_REQUIRE(min_value > 0.0, "min_value must be positive");
-  RAGO_REQUIRE(max_value > min_value, "max_value must exceed min_value");
-  RAGO_REQUIRE(bins_per_decade > 0, "bins_per_decade must be positive");
-}
-
-StreamingHistogram::StreamingHistogram(StreamingHistogramOptions options)
-    : options_(options) {
-  options_.Validate();
-  log_min_ = std::log10(options_.min_value);
-  const double decades =
-      std::log10(options_.max_value) - log_min_;
+StreamingHistogram::StreamingHistogram() {
+  log_min_ = std::log10(kMinValue);
+  const double decades = std::log10(kMaxValue) - log_min_;
   const auto bins = static_cast<size_t>(
-      std::ceil(decades * options_.bins_per_decade - 1e-12));
+      std::ceil(decades * kBinsPerDecade - 1e-12));
   bins_.assign(std::max<size_t>(bins, 1), 0);
 }
 
 size_t
 StreamingHistogram::BinIndex(double value) const {
-  // Callers guarantee min_value <= value < max_value here.
-  const double offset =
-      (std::log10(value) - log_min_) * options_.bins_per_decade;
+  // Callers guarantee kMinValue <= value < kMaxValue here.
+  const double offset = (std::log10(value) - log_min_) * kBinsPerDecade;
   auto bin = static_cast<size_t>(std::max(offset, 0.0));
   return std::min(bin, bins_.size() - 1);
 }
@@ -42,9 +31,9 @@ StreamingHistogram::Add(double value) {
     min_seen_ = std::min(min_seen_, value);
     max_seen_ = std::max(max_seen_, value);
   }
-  if (!(value >= options_.min_value)) {  // Includes <= 0 and NaN.
+  if (!(value >= kMinValue)) {  // Includes <= 0 and NaN.
     ++underflow_;
-  } else if (value >= options_.max_value) {
+  } else if (value >= kMaxValue) {
     ++overflow_;
   } else {
     ++bins_[BinIndex(value)];
@@ -53,8 +42,6 @@ StreamingHistogram::Add(double value) {
 
 void
 StreamingHistogram::Merge(const StreamingHistogram& other) {
-  RAGO_REQUIRE(options_ == other.options_,
-               "streaming histograms merge only with identical binning");
   if (other.count_ == 0) {
     return;
   }
@@ -88,15 +75,15 @@ StreamingHistogram::bin_count(size_t bin) const {
 double
 StreamingHistogram::BinLower(size_t bin) const {
   RAGO_REQUIRE(bin < bins_.size(), "bin index out of range");
-  return std::pow(
-      10.0, log_min_ + static_cast<double>(bin) / options_.bins_per_decade);
+  return std::pow(10.0,
+                  log_min_ + static_cast<double>(bin) / kBinsPerDecade);
 }
 
 double
 StreamingHistogram::BinUpper(size_t bin) const {
   RAGO_REQUIRE(bin < bins_.size(), "bin index out of range");
-  return std::pow(10.0, log_min_ + static_cast<double>(bin + 1) /
-                            options_.bins_per_decade);
+  return std::pow(10.0,
+                  log_min_ + static_cast<double>(bin + 1) / kBinsPerDecade);
 }
 
 double
@@ -134,14 +121,9 @@ MetricsRegistry::GetGauge(const std::string& name) {
 }
 
 StreamingHistogram&
-MetricsRegistry::GetHistogram(const std::string& name,
-                              StreamingHistogramOptions options) {
+MetricsRegistry::GetHistogram(const std::string& name) {
   RAGO_REQUIRE(!name.empty(), "metric names must be non-empty");
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    it = histograms_.emplace(name, StreamingHistogram(options)).first;
-  }
-  return it->second;
+  return histograms_[name];
 }
 
 const MetricCounter*

@@ -6,8 +6,8 @@
  * percentiles are bit-exact — the right trade for runs of thousands of
  * requests, and the wrong one for million-request soaks. This header
  * adds the bounded counterpart: a fixed-bin log-scale histogram whose
- * memory is a function of its binning policy, never of the sample
- * count, plus counters/gauges and a registry that surfaces all of them
+ * memory is a constant of its one binning, never of the sample count,
+ * plus counters/gauges and a registry that surfaces all of them
  * under stable names with deterministic (name-sorted) JSON emission.
  *
  * Everything here is deterministic given the same sample sequence and
@@ -28,32 +28,9 @@
 
 namespace rago {
 
-/// Binning policy of a streaming histogram. Two histograms merge only
-/// when their policies are identical.
-struct StreamingHistogramOptions {
-  /// Lower edge of the first regular bin. Samples below it (including
-  /// zero and negatives) land in the underflow bin.
-  double min_value = 1e-6;
-  /// Upper edge of the last regular bin. Samples at or above it land
-  /// in the overflow bin.
-  double max_value = 1e4;
-  /// Log-scale resolution: bins per factor-of-10. Quantile error is
-  /// bounded by one bin ratio, 10^(1/bins_per_decade).
-  int bins_per_decade = 32;
-
-  /// Throws ConfigError on non-positive bounds/resolution or
-  /// max_value <= min_value.
-  void Validate() const;
-
-  friend bool operator==(const StreamingHistogramOptions& a,
-                         const StreamingHistogramOptions& b) {
-    return a.min_value == b.min_value && a.max_value == b.max_value &&
-           a.bins_per_decade == b.bins_per_decade;
-  }
-};
-
 /**
  * Fixed-bin log-scale histogram: O(bins) memory for any sample count.
+ * Every histogram shares one binning, so any two merge exactly.
  * Quantiles use the same nearest-rank convention as the exact recorder
  * and answer the geometric midpoint of the rank's bin, clamped to the
  * exactly-tracked [min_seen, max_seen] range, so the reported value is
@@ -61,13 +38,22 @@ struct StreamingHistogramOptions {
  */
 class StreamingHistogram {
  public:
-  explicit StreamingHistogram(StreamingHistogramOptions options = {});
+  /// Lower edge of the first regular bin. Samples below it (including
+  /// zero and negatives) land in the underflow bin.
+  static constexpr double kMinValue = 1e-6;
+  /// Upper edge of the last regular bin. Samples at or above it land
+  /// in the overflow bin.
+  static constexpr double kMaxValue = 1e4;
+  /// Log-scale resolution: bins per factor-of-10. Quantile error is
+  /// bounded by one bin ratio, 10^(1/kBinsPerDecade).
+  static constexpr int kBinsPerDecade = 32;
+
+  StreamingHistogram();
 
   void Add(double value);
 
   /// Folds `other` into this histogram. Counts add exactly, so merging
-  /// is associative and commutative bin-for-bin; requires identical
-  /// binning policies (throws ConfigError otherwise).
+  /// is associative and commutative bin-for-bin.
   void Merge(const StreamingHistogram& other);
 
   int64_t count() const { return count_; }
@@ -88,7 +74,6 @@ class StreamingHistogram {
    */
   double Quantile(double p) const;
 
-  const StreamingHistogramOptions& options() const { return options_; }
   size_t num_bins() const { return bins_.size(); }
   int64_t bin_count(size_t bin) const;
   /// Lower/upper value edges of a regular bin.
@@ -98,8 +83,7 @@ class StreamingHistogram {
  private:
   size_t BinIndex(double value) const;
 
-  StreamingHistogramOptions options_;
-  double log_min_ = 0.0;         ///< log10(min_value), precomputed.
+  double log_min_ = 0.0;         ///< log10(kMinValue), precomputed.
   std::vector<int64_t> bins_;
   int64_t underflow_ = 0;
   int64_t overflow_ = 0;
@@ -143,10 +127,7 @@ class MetricsRegistry {
   /// metric kind (a counter and a gauge may share a name).
   MetricCounter& GetCounter(const std::string& name);
   MetricGauge& GetGauge(const std::string& name);
-  /// `options` configures the histogram on first creation and is
-  /// ignored on later lookups of the same name.
-  StreamingHistogram& GetHistogram(const std::string& name,
-                                   StreamingHistogramOptions options = {});
+  StreamingHistogram& GetHistogram(const std::string& name);
 
   /// Null when the metric was never created (const lookup, no insert).
   const MetricCounter* FindCounter(const std::string& name) const;

@@ -407,18 +407,13 @@ Optimizer::Search(const StagePerfProvider& provider) const {
   // Step 2 prep: per-placement option tables assembled from the profile
   // table (pure arithmetic; no model evaluation).
   // -------------------------------------------------------------------
-  auto group_options_for = [&](const std::vector<int>& placement, int g,
-                               int64_t forced_batch) {
+  auto group_options_for = [&](const std::vector<int>& placement, int g) {
     std::vector<GroupOption> options;
     for (size_t c = 0; c < kChips; ++c) {
       for (size_t b = 0; b < kBatches; ++b) {
-        const int64_t batch = options_.batch_sizes[b];
-        if (forced_batch > 0 && batch != forced_batch) {
-          continue;
-        }
         GroupOption option;
         option.chips = chip_grid[c];
-        option.batch = batch;
+        option.batch = options_.batch_sizes[b];
         option.pilot = b % kPilotStride == 0;
         bool feasible = true;
         double mem = 0.0;
@@ -472,7 +467,7 @@ Optimizer::Search(const StagePerfProvider& provider) const {
     decode_options = PruneOptions(std::move(decode_options), DominatesDecode);
   }
 
-  /// One (placement, forced batch) enumeration subtree.
+  /// One placement's enumeration subtree.
   struct EnumContext {
     const std::vector<int>* placement = nullptr;
     int groups = 0;
@@ -499,28 +494,19 @@ Optimizer::Search(const StagePerfProvider& provider) const {
             ? placement[after_retrieval]
             : -1;
 
-    auto add_context = [&](int64_t forced_batch) {
-      EnumContext ctx;
-      ctx.placement = &placement;
-      ctx.groups = groups;
-      ctx.span_group = span_group;
-      ctx.tables.resize(static_cast<size_t>(groups));
-      for (int g = 0; g < groups; ++g) {
-        ctx.tables[static_cast<size_t>(g)] =
-            group_options_for(placement, g, forced_batch);
-        if (ctx.tables[static_cast<size_t>(g)].empty()) {
-          return;  // Some stage cannot run at this granularity.
-        }
-      }
+    EnumContext ctx;
+    ctx.placement = &placement;
+    ctx.groups = groups;
+    ctx.span_group = span_group;
+    ctx.tables.resize(static_cast<size_t>(groups));
+    bool runnable = true;  // Every group has a feasible option.
+    for (int g = 0; g < groups && runnable; ++g) {
+      std::vector<GroupOption>& table = ctx.tables[static_cast<size_t>(g)];
+      table = group_options_for(placement, g);
+      runnable = !table.empty();
+    }
+    if (runnable) {
       contexts.push_back(std::move(ctx));
-    };
-
-    if (options_.per_group_batching) {
-      add_context(/*forced_batch=*/-1);
-    } else {
-      for (int64_t batch : options_.batch_sizes) {
-        add_context(batch);
-      }
     }
   }
 

@@ -46,9 +46,6 @@ struct SearchOptions {
                                              64, 128, 256, 512, 1024};
   /// XPU budget; 0 means the full cluster.
   int max_total_xpus = 0;
-  /// Each collocation group picks its own batch size; if false, one
-  /// batch size is shared by all pre-decode stages.
-  bool per_group_batching = true;
   /// Apply per-stage Pareto pruning after profiling (Algorithm 1
   /// step 1). Disabling is exposed for the pruning ablation bench.
   bool per_stage_pareto_pruning = true;

@@ -5,8 +5,9 @@
  * The bridge between the functional sharded tier and the analytical
  * serving stack: a calibration run over a ShardedIndex yields per-shard
  * scan bytes and wall times; those distill into a MeasuredScanProfile,
- * and the resulting MeasuredRetrievalModel plugs into the serving DES
- * (sim::ServingSimOptions::retrieval_model) wherever the analytical
+ * and the resulting MeasuredRetrievalModel plugs into the serving
+ * engine (runtime::RuntimeOptions::retrieval_model, which the DES sets
+ * from sim::ServingSimOptions::retrieval_model) wherever the analytical
  * ScannModel would be used — so replayed multi-server scans and the
  * published cost model can be cross-checked against each other.
  */

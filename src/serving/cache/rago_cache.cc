@@ -1,32 +1,14 @@
 #include "serving/cache/rago_cache.h"
 
-#include <cstring>
-
 #include "common/check.h"
+#include "common/fnv.h"
 
 namespace rago::cache {
-namespace {
-
-/// FNV-1a 64-bit fold of an arbitrary byte span.
-uint64_t FnvFold(uint64_t hash, const void* bytes, size_t size) {
-  const auto* p = static_cast<const unsigned char*>(bytes);
-  for (size_t i = 0; i < size; ++i) {
-    hash ^= p[i];
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
-
-constexpr uint64_t kFnvOffset = 14695981039346656037ull;
-
-}  // namespace
 
 void
 CacheOptions::Validate() const {
   RAGO_REQUIRE(retrieval_capacity >= 0,
                "retrieval cache capacity must be >= 0 (0 disables)");
-  RAGO_REQUIRE(lookup_seconds >= 0,
-               "cache lookup cost must be non-negative");
   RAGO_REQUIRE(doc_capacity >= 0,
                "doc cache capacity must be >= 0 (0 disables)");
 }
@@ -132,7 +114,10 @@ FingerprintQueries(const ann::Matrix& pool, size_t start_row,
   uint64_t hash = kFnvOffset;
   for (int q = 0; q < queries; ++q) {
     const size_t row = (start_row + static_cast<size_t>(q)) % pool.rows();
-    hash = FnvFold(hash, pool.Row(row), pool.dim() * sizeof(float));
+    const float* values = pool.Row(row);
+    for (size_t d = 0; d < pool.dim(); ++d) {
+      hash = FnvFold(hash, FloatBits(values[d]));
+    }
   }
   return hash;
 }

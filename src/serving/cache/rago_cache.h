@@ -8,7 +8,7 @@
  *  1. **Retrieval-result cache** (`LruRetrievalCache`): query
  *     fingerprint -> retrieved (doc id, distance) lists. A hit skips
  *     the real ShardedIndex scan entirely and is charged a small
- *     configurable lookup cost, letting the runtime enqueue the prefix
+ *     fixed lookup cost, letting the runtime enqueue the prefix
  *     stage immediately — retrieval/prefill overlap that collapses
  *     TTFT for hot queries.
  *  2. **Document/prefix KV cache** (`LruDocCache`): the set of doc ids
@@ -41,21 +41,20 @@
 
 namespace rago::cache {
 
+/// Virtual seconds charged to a retrieval-cache hit in place of the
+/// skipped batch wait + scan (the fast-path lookup cost).
+inline constexpr double kLookupSeconds = 20e-6;
+
 /// Configuration of the runtime's cache tier. Zero capacities disable
 /// the corresponding level (the default: bit-identical serving to a
 /// runtime without a cache tier).
 struct CacheOptions {
   /// Retrieval-result cache capacity in entries (requests); 0 = off.
   int64_t retrieval_capacity = 0;
-  /**
-   * Virtual seconds charged to a retrieval-cache hit in place of the
-   * skipped batch wait + scan (the fast-path lookup cost).
-   */
-  double lookup_seconds = 20e-6;
   /// Document/prefix KV cache capacity in documents; 0 = off.
   int64_t doc_capacity = 0;
 
-  /// Throws ConfigError on negative capacities or lookup cost.
+  /// Throws ConfigError on negative capacities.
   void Validate() const;
 };
 

@@ -24,9 +24,9 @@
  * counts toward a trailing horizon while its end lies inside it), and
  * the retained history is bounded by the longest rule horizon.
  * Everything is a pure function of the window sequence: transitions
- * are deterministic events that the engines emit as trace instants,
- * append to the flight recorder, and — only when explicitly opted in —
- * fold into the outcome digest.
+ * are deterministic events that the engine emits as trace instants
+ * and appends to the flight recorder. They never reach the outcome
+ * digest.
  */
 #ifndef RAGO_SERVING_OBS_SLO_ALERTS_H
 #define RAGO_SERVING_OBS_SLO_ALERTS_H
@@ -64,10 +64,6 @@ struct SloAlertOptions {
   /// Attainment goal in (0, 1); error budget is 1 - attainment_goal.
   double attainment_goal = 0.95;
   std::vector<BurnRateRule> rules;
-  /// When true the engines fold every transition into the outcome
-  /// digest (time, rule, direction) — the one explicitly-opted-in
-  /// departure from the observation-only contract.
-  bool fold_into_digest = false;
 
   /// Throws ConfigError on a goal outside (0, 1) or an invalid rule.
   void Validate() const;

@@ -16,7 +16,6 @@ TimeSeriesOptions::Validate() const {
   RAGO_REQUIRE(windows_per_level >= fold_factor,
                "windows_per_level must be at least fold_factor");
   RAGO_REQUIRE(levels >= 1, "levels must be at least 1");
-  histogram.Validate();
 }
 
 double
@@ -66,9 +65,6 @@ TelemetryTimeSeries::MakeWindow(int64_t index, int64_t fine_count) const {
   WindowStats window;
   window.start = static_cast<double>(index) * options_.window_seconds;
   window.span = static_cast<double>(fine_count) * options_.window_seconds;
-  window.ttft = StreamingHistogram(options_.histogram);
-  window.tpot = StreamingHistogram(options_.histogram);
-  window.queue_wait = StreamingHistogram(options_.histogram);
   return window;
 }
 

@@ -12,13 +12,13 @@
  *  - `TelemetryTimeSeries` rolls every recorded event into the
  *    fixed-interval window containing its virtual timestamp. Latency
  *    distributions use `StreamingHistogram` (O(bins) per window), so a
- *    window's memory is a constant of the binning policy.
+ *    window's memory is a constant of its one fixed binning.
  *  - Closed windows enter a **multi-resolution retention ladder**:
  *    level 0 holds the most recent `windows_per_level` fine windows;
  *    when it overflows, the oldest `fold_factor` windows merge into a
  *    single coarser window pushed onto level 1, and so on. The last
  *    level drops its oldest window (counted, never silent). Counts add
- *    exactly and histograms with identical policies merge exactly, so
+ *    exactly and histograms (all binned alike) merge exactly, so
  *    a folded window is the *exact* rollup of its constituents — only
  *    time resolution is lost, never events. Total memory is bounded by
  *    `levels * windows_per_level` windows regardless of run length.
@@ -54,9 +54,6 @@ struct TimeSeriesOptions {
   int fold_factor = 4;
   /// Ladder depth; level k windows span fold_factor^k fine windows.
   int levels = 3;
-  /// Binning policy for the TTFT/TPOT/queue-wait window histograms.
-  /// Folds are exact because every window shares this policy.
-  StreamingHistogramOptions histogram;
 
   /// Throws ConfigError on a non-positive window, windows_per_level <
   /// fold_factor, fold_factor < 2, or levels < 1.

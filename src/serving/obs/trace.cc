@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/check.h"
+#include "common/fnv.h"
 
 namespace rago::obs {
 namespace {
@@ -15,18 +16,8 @@ constexpr int kRequestPid = 1;
 
 uint64_t
 HashRequestId(uint64_t seed, int64_t request_id) {
-  // FNV-1a over the 16 bytes of (seed, id) — same constants as the
-  // outcome digest, pure function of its inputs.
-  uint64_t hash = 14695981039346656037ull;
-  const auto fold = [&hash](uint64_t word) {
-    for (int byte = 0; byte < 8; ++byte) {
-      hash ^= (word >> (byte * 8)) & 0xffull;
-      hash *= 1099511628211ull;
-    }
-  };
-  fold(seed);
-  fold(static_cast<uint64_t>(request_id));
-  return hash;
+  return FnvFold(FnvFold(kFnvOffset, seed),
+                 static_cast<uint64_t>(request_id));
 }
 
 void

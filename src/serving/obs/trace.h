@@ -1,8 +1,8 @@
 /**
  * @file trace.h
- * Span-based per-request trace recorder for the serving engines.
+ * Span-based per-request trace recorder for the serving engine.
  *
- * Aggregate telemetry (RuntimeResult / ServingSimResult) answers "what
+ * Aggregate telemetry (RuntimeResult) answers "what
  * were the percentiles"; it cannot answer "why was request 411 slow".
  * This recorder captures the causal structure of one serving run as
  * spans on the virtual clock — admission, queue waits, batch
@@ -19,7 +19,7 @@
  *
  * Recording is opt-in (a null recorder disables everything) and
  * observation-only by contract: recorders accept appends from the
- * serial event loops and never feed anything back, so the outcome
+ * serial event loop and never feed anything back, so the outcome
  * digest of a traced run is bit-identical to an untraced one — the
  * invariance tests pin exactly this. Timestamps are virtual seconds;
  * the exporter scales to the microseconds chrome://tracing expects.
@@ -88,9 +88,9 @@ struct TraceEvent {
 };
 
 /**
- * Append-only event log with named tracks. The runtime and the DES
- * write through the pointer in their options struct; tests and tools
- * read back either export. Reusable across runs via Clear().
+ * Append-only event log with named tracks. The engine writes through
+ * RuntimeOptions::trace, for the online runtime and the DES alike;
+ * tests and tools read back either export. Reusable across runs via Clear().
  */
 class TraceRecorder {
  public:

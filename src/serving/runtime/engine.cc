@@ -1,7 +1,6 @@
 #include "serving/runtime/engine.h"
 
 #include <algorithm>
-#include <cstring>
 #include <deque>
 #include <exception>
 #include <limits>
@@ -10,6 +9,7 @@
 #include <utility>
 
 #include "common/check.h"
+#include "common/fnv.h"
 #include "core/stage.h"
 
 namespace rago::runtime {
@@ -17,33 +17,6 @@ namespace {
 
 using core::StageType;
 
-/// FNV-1a 64-bit fold of an arbitrary byte span.
-uint64_t FnvFold(uint64_t hash, const void* bytes, size_t size) {
-  const auto* p = static_cast<const unsigned char*>(bytes);
-  for (size_t i = 0; i < size; ++i) {
-    hash ^= p[i];
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
-
-uint64_t FnvFoldU64(uint64_t hash, uint64_t value) {
-  return FnvFold(hash, &value, sizeof(value));
-}
-
-uint64_t FnvFoldDouble(uint64_t hash, double value) {
-  uint64_t bits = 0;
-  std::memcpy(&bits, &value, sizeof(bits));
-  return FnvFoldU64(hash, bits);
-}
-
-uint64_t FnvFoldFloat(uint64_t hash, float value) {
-  uint32_t bits = 0;
-  std::memcpy(&bits, &value, sizeof(bits));
-  return FnvFoldU64(hash, bits);
-}
-
-constexpr uint64_t kFnvOffset = 14695981039346656037ull;
 constexpr size_t kNoStage = std::numeric_limits<size_t>::max();
 /// Queue-depth/utilization counter samples each stage emits to the
 /// trace (one per enqueue and one per batch start, first ones kept).
@@ -142,25 +115,22 @@ void Aggregate(const RuntimeOptions& options, double decode_busy_time,
 /// the digest the retrieval folds started.
 uint64_t FinishDigest(uint64_t digest, const RuntimeResult& result) {
   for (const RequestOutcome& outcome : result.requests) {
-    digest = FnvFoldU64(digest, outcome.admitted ? 1u : 0u);
-    digest = FnvFoldDouble(digest, outcome.ttft);
-    digest = FnvFoldDouble(digest, outcome.tpot);
-    digest = FnvFoldDouble(digest, outcome.completion);
-    digest = FnvFoldU64(digest,
-                        static_cast<uint64_t>(outcome.first_neighbor));
-    digest = FnvFoldU64(digest, outcome.retrieval_cache_hit ? 1u : 0u);
-    digest = FnvFoldDouble(digest, outcome.prefix_hit_fraction);
+    digest = FnvFold(digest, uint64_t{outcome.admitted});
+    digest = FnvFold(digest, FloatBits(outcome.ttft));
+    digest = FnvFold(digest, FloatBits(outcome.tpot));
+    digest = FnvFold(digest, FloatBits(outcome.completion));
+    digest = FnvFold(digest, static_cast<uint64_t>(outcome.first_neighbor));
+    digest = FnvFold(digest, uint64_t{outcome.retrieval_cache_hit});
+    digest = FnvFold(digest, FloatBits(outcome.prefix_hit_fraction));
   }
   for (const cache::CacheCounters* counters :
        {&result.retrieval_cache, &result.doc_cache}) {
-    digest = FnvFoldU64(digest, static_cast<uint64_t>(counters->hits));
-    digest = FnvFoldU64(digest, static_cast<uint64_t>(counters->misses));
-    digest = FnvFoldU64(digest,
-                        static_cast<uint64_t>(counters->evictions));
-    digest = FnvFoldU64(digest,
-                        static_cast<uint64_t>(counters->insertions));
+    digest = FnvFold(digest, static_cast<uint64_t>(counters->hits));
+    digest = FnvFold(digest, static_cast<uint64_t>(counters->misses));
+    digest = FnvFold(digest, static_cast<uint64_t>(counters->evictions));
+    digest = FnvFold(digest, static_cast<uint64_t>(counters->insertions));
   }
-  return FnvFoldDouble(digest, result.measured_prefix_hit_rate);
+  return FnvFold(digest, FloatBits(result.measured_prefix_hit_rate));
 }
 
 /// Metrics export: reads the finished result only, so it can never
@@ -337,9 +307,8 @@ RunServingEngine(const core::PipelineModel& model,
   }
 
   // --- Windowed telemetry, burn-rate alerting, flight recorder (all
-  // opt-in; driven on the virtual clock from the serial loop, so every
-  // surface is thread-count invariant, and observation-only except the
-  // explicitly-opted-in alert digest fold). ---
+  // opt-in, observation-only, and driven on the virtual clock from the
+  // serial loop, so every surface is thread-count invariant). ---
   obs::TelemetryTimeSeries* series = options.timeseries;
   obs::SloAlertEngine* alerts = options.alerts;
   obs::FlightRecorder* flight = options.flight;
@@ -409,8 +378,8 @@ RunServingEngine(const core::PipelineModel& model,
   std::vector<InFlight> in_flight;
 
   // Feeds every closed fine window to the flight recorder and the
-  // alert engine; alert transitions become trace instants, flight
-  // records, and (only when opted in) digest folds.
+  // alert engine; alert transitions become trace instants and flight
+  // records.
   auto drain_telemetry_windows = [&]() {
     for (const obs::WindowSummary& window : series->DrainClosed()) {
       const double end = window.start + window.span;
@@ -444,12 +413,6 @@ RunServingEngine(const core::PipelineModel& model,
           instant.args.emplace_back("short_burn", transition.short_burn);
           instant.args.emplace_back("long_burn", transition.long_burn);
         }
-        if (alerts->options().fold_into_digest) {
-          digest = FnvFoldDouble(digest, transition.time);
-          digest = FnvFoldU64(digest,
-                              static_cast<uint64_t>(transition.rule));
-          digest = FnvFoldU64(digest, transition.firing ? 1u : 0u);
-        }
       }
     }
   };
@@ -482,12 +445,13 @@ RunServingEngine(const core::PipelineModel& model,
   // are byte-for-byte interchangeable in the digest.
   auto record_retrieval = [&](int id, const Retrieved& per_query) {
     RequestOutcome& outcome = result.requests[static_cast<size_t>(id)];
-    digest = FnvFoldU64(digest, static_cast<uint64_t>(id));
+    digest = FnvFold(digest, static_cast<uint64_t>(id));
     std::vector<int64_t> doc_ids;
     for (size_t q = 0; q < per_query.size(); ++q) {
       for (const ann::Neighbor& neighbor : per_query[q]) {
-        digest = FnvFoldU64(digest, static_cast<uint64_t>(neighbor.id));
-        digest = FnvFoldFloat(digest, neighbor.dist);
+        digest = FnvFold(digest, static_cast<uint64_t>(neighbor.id));
+        // Widened: the digest folds every field as an 8-byte word.
+        digest = FnvFold(digest, uint64_t{FloatBits(neighbor.dist)});
         if (doc_cache.enabled()) {
           doc_ids.push_back(neighbor.id);
         }
@@ -665,10 +629,9 @@ RunServingEngine(const core::PipelineModel& model,
         record_retrieval(request, cached->neighbors);
         if (trace != nullptr) {
           trace->AddComplete("retrieval-cache-hit", "cache", 1, request,
-                             now, options.cache.lookup_seconds, request);
+                             now, cache::kLookupSeconds, request);
         }
-        events.push(Event{now + options.cache.lookup_seconds, 4,
-                          request});
+        events.push(Event{now + cache::kLookupSeconds, 4, request});
         return;
       }
     }

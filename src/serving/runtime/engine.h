@@ -15,9 +15,12 @@
  * (serving/runtime/runtime.h) passes a RetrievalHook that runs each
  * retrieval batch as a real ShardedIndex scan, whose neighbours feed
  * the outcome digest, the caches and RequestOutcome::first_neighbor.
- * SimulateServing (sim/serving_sim.h) passes none. Under the same
- * options (caches off, unbounded admission) both therefore produce
- * bit-identical virtual outcomes.
+ * The DES (sim/serving_sim.h) passes none and runs under
+ * sim::DesEngineOptions (caches off, unbounded admission). Under the
+ * same options both therefore produce bit-identical virtual outcomes.
+ * The sinks below are the only way to observe either: a caller that
+ * wants to watch a DES run attaches them to DesEngineOptions() and
+ * calls RunServingEngine without a hook.
  *
  * Determinism contract: the loop is serial on virtual time, events pop
  * in a total (time, kind, payload) order, and every observation sink
@@ -89,7 +92,7 @@ struct RuntimeOptions {
    * Multi-level cache tier (serving/cache/rago_cache.h). With
    * retrieval_capacity > 0, requests whose query fingerprint is cached
    * skip the real scan *and* the retrieval batch entirely: the cached
-   * results are delivered after cache.lookup_seconds and the next
+   * results are delivered after cache::kLookupSeconds and the next
    * stage is enqueued immediately (retrieval/prefill overlap). With
    * doc_capacity > 0, each request's retrieved doc ids are measured
    * against a document KV cache and prefix batches are priced with the
@@ -128,9 +131,7 @@ struct RuntimeOptions {
    * Optional burn-rate alerting (serving/obs/slo_alerts.h). Requires
    * `timeseries`; each closed fine window is fed to the engine and the
    * resulting transitions are emitted as trace instants and flight
-   * records. Observation-only unless the alert engine's
-   * fold_into_digest opts the transitions into the outcome digest.
-   * Not owned.
+   * records. Observation-only. Not owned.
    */
   obs::SloAlertEngine* alerts = nullptr;
   /**

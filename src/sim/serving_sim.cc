@@ -2,34 +2,30 @@
 
 #include <limits>
 
-#include "serving/runtime/engine.h"
-
 namespace rago::sim {
+
+runtime::RuntimeOptions
+DesEngineOptions(const ServingSimOptions& options) {
+  // The DES is the serving engine with retrieval priced only: no
+  // retrieval hook, caches off (the default), unbounded admission, and
+  // no SLO bound.
+  const double kNoBound = std::numeric_limits<double>::infinity();
+  runtime::RuntimeOptions engine;
+  engine.admission_queue_limit = std::numeric_limits<int>::max();
+  engine.batch_timeout = options.batch_timeout;
+  engine.retrieval_model = options.retrieval_model;
+  engine.slo.ttft_seconds = kNoBound;
+  engine.slo.tpot_seconds = kNoBound;
+  return engine;
+}
 
 ServingSimResult
 SimulateServing(const core::PipelineModel& model,
                 const core::Schedule& schedule,
                 const runtime::ArrivalTrace& trace,
                 const ServingSimOptions& options) {
-  // The DES is the serving engine with retrieval priced only: no
-  // retrieval hook, caches off (the default), unbounded admission, and
-  // a non-positive SLO bound meaning "no bound".
-  const double kNoBound = std::numeric_limits<double>::infinity();
-  runtime::RuntimeOptions engine;
-  engine.admission_queue_limit = std::numeric_limits<int>::max();
-  engine.batch_timeout = options.batch_timeout;
-  engine.retrieval_model = options.retrieval_model;
-  engine.slo.ttft_seconds =
-      options.slo_ttft_seconds > 0 ? options.slo_ttft_seconds : kNoBound;
-  engine.slo.tpot_seconds =
-      options.slo_tpot_seconds > 0 ? options.slo_tpot_seconds : kNoBound;
-  engine.trace = options.trace;
-  engine.timeseries = options.timeseries;
-  engine.alerts = options.alerts;
-  engine.flight = options.flight;
-  engine.flight_dump_path = options.flight_dump_path;
-  const runtime::RuntimeResult run =
-      runtime::RunServingEngine(model, schedule, engine, trace, "sim");
+  const runtime::RuntimeResult run = runtime::RunServingEngine(
+      model, schedule, DesEngineOptions(options), trace, "sim");
 
   ServingSimResult result;
   result.completed = run.completed;

@@ -11,8 +11,10 @@
  * batching. It is the serving engine (serving/runtime/engine.h) that
  * the online runtime runs, with retrieval priced only (no real scans),
  * caches off and unbounded admission, so under those options the
- * runtime's virtual outcomes equal the DES's bit for bit. It serves
- * two purposes:
+ * runtime's virtual outcomes equal the DES's bit for bit. A DES run
+ * is observed by attaching sinks to DesEngineOptions() and calling
+ * the engine directly; its outcome digest is the same with any sink
+ * attached. The simulator serves two purposes:
  *  - validation: at saturation the measured throughput must approach
  *    the analytical QPS; at low load the TTFT must approach the sum
  *    of stage latencies (tested in tests/test_serving_sim.cc);
@@ -23,16 +25,12 @@
 #define RAGO_SIM_SERVING_SIM_H
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "core/pipeline_model.h"
 #include "core/schedule.h"
 #include "retrieval/perf/retrieval_model.h"
-#include "serving/obs/flight_recorder.h"
-#include "serving/obs/slo_alerts.h"
-#include "serving/obs/timeseries.h"
-#include "serving/obs/trace.h"
+#include "serving/runtime/engine.h"
 #include "serving/runtime/workload.h"
 
 namespace rago::sim {
@@ -50,44 +48,6 @@ struct ServingSimOptions {
    * analytical EvalRetrieval. Not owned; must outlive the call.
    */
   const retrieval::RetrievalModel* retrieval_model = nullptr;
-  /**
-   * Optional span-trace recorder (serving/obs/trace.h): when set, the
-   * simulation appends arrival/queue/batch/stage/decode spans and
-   * per-stage counter tracks on the virtual clock — the engine emits
-   * the same tracks for the online runtime, so DES and runtime traces
-   * line up in chrome://tracing. Observation-only: every ServingSimResult field is identical with
-   * tracing on or off. Not owned; must outlive the call.
-   */
-  obs::TraceRecorder* trace = nullptr;
-  /**
-   * Optional windowed telemetry sink (serving/obs/timeseries.h): the
-   * simulation rolls offered/completed counts, TTFT/TPOT/queue-wait
-   * latencies, queue depths, and server busy time into fixed
-   * virtual-clock windows, exactly as the online runtime does.
-   * Observation-only. Not owned; must outlive the call.
-   */
-  obs::TelemetryTimeSeries* timeseries = nullptr;
-  /**
-   * Optional burn-rate alert engine (serving/obs/slo_alerts.h); fed
-   * every closed telemetry window. Requires `timeseries`. The sim has
-   * no outcome digest, so `fold_into_digest` has no effect here.
-   * Not owned; must outlive the call.
-   */
-  obs::SloAlertEngine* alerts = nullptr;
-  /**
-   * Optional flight recorder (serving/obs/flight_recorder.h): a
-   * bounded ring of recent begin/window/alert notes, dumped to
-   * `flight_dump_path` (when non-empty) at the end of the run and on
-   * any exception unwinding the simulation. Not owned.
-   */
-  obs::FlightRecorder* flight = nullptr;
-  std::string flight_dump_path;
-  /**
-   * SLO bounds used to classify completions for windowed attainment
-   * and burn-rate alerting. <= 0 disables that bound.
-   */
-  double slo_ttft_seconds = 0.0;
-  double slo_tpot_seconds = 0.0;
 };
 
 /// Aggregate results of one simulation run. Percentiles use the
@@ -112,7 +72,17 @@ struct ServingSimResult {
 };
 
 /**
- * Executes `schedule` on `model` against the arrival trace.
+ * The serving-engine options the DES runs under: `options`' batch
+ * timeout and retrieval model, unbounded admission, caches off, no
+ * SLO bound and no sink. A caller that wants to observe a DES run
+ * attaches sinks to the returned options and calls
+ * runtime::RunServingEngine without a retrieval hook.
+ */
+runtime::RuntimeOptions DesEngineOptions(const ServingSimOptions& options);
+
+/**
+ * Executes `schedule` on `model` against the arrival trace: the
+ * serving engine under DesEngineOptions(options), summarized.
  * Deterministic; all stage service times come from the same cost
  * models the optimizer uses.
  */

@@ -61,9 +61,6 @@ TEST(CacheOptionsTest, ValidatesKnobs) {
   options = CacheOptions{};
   options.doc_capacity = -1;
   EXPECT_THROW(options.Validate(), ConfigError);
-  options = CacheOptions{};
-  options.lookup_seconds = -1e-9;
-  EXPECT_THROW(options.Validate(), ConfigError);
   // The runtime folds cache validation into its own options.
   RuntimeOptions runtime_options;
   runtime_options.cache.retrieval_capacity = -4;
@@ -253,7 +250,6 @@ TEST(CacheRuntimeTest, ZeroCapacityCacheServesBitIdenticallyToDefault) {
   RuntimeOptions zeroed = base_options;
   zeroed.cache.retrieval_capacity = 0;
   zeroed.cache.doc_capacity = 0;
-  zeroed.cache.lookup_seconds = 123e-6;  // Irrelevant when disabled.
   const ServingRuntime explicit_off(model, schedule, tier.index, zeroed);
 
   const RuntimeResult a = base.Serve(trace, tier.queries);

@@ -500,28 +500,15 @@ TEST(Table, NumFormatsSignificantDigits) {
 // Streaming histograms (common/metrics.h)
 // ---------------------------------------------------------------------------
 
-TEST(StreamingHistogram, OptionsValidateRejectsBadPolicies) {
-  StreamingHistogramOptions bad;
-  bad.min_value = 0.0;
-  EXPECT_THROW(bad.Validate(), ConfigError);
-  bad = {};
-  bad.max_value = bad.min_value;
-  EXPECT_THROW(bad.Validate(), ConfigError);
-  bad = {};
-  bad.bins_per_decade = 0;
-  EXPECT_THROW(bad.Validate(), ConfigError);
-  EXPECT_NO_THROW(StreamingHistogramOptions{}.Validate());
-}
-
 TEST(StreamingHistogram, QuantilesAgreeWithExactWithinOneBinRatio) {
   // The bin midpoint convention bounds the quantile error by one bin
-  // ratio, 10^(1/bins_per_decade); p=0/p=1 are exact (clamped to the
+  // ratio, 10^(1/kBinsPerDecade); p=0/p=1 are exact (clamped to the
   // tracked extremes).
   Rng rng(29);
   Histogram exact;
   StreamingHistogram streaming;
   const double bin_ratio =
-      std::pow(10.0, 1.0 / streaming.options().bins_per_decade);
+      std::pow(10.0, 1.0 / StreamingHistogram::kBinsPerDecade);
   for (int i = 0; i < 20000; ++i) {
     // Log-uniform over ~5 decades inside the regular bin range.
     const double value = std::pow(10.0, rng.NextUniform(-4.0, 1.0));
@@ -578,19 +565,11 @@ TEST(StreamingHistogram, MergeIsAssociativeAndCommutative) {
   }
 }
 
-TEST(StreamingHistogram, MergeRejectsMismatchedPolicies) {
-  StreamingHistogramOptions coarse;
-  coarse.bins_per_decade = 8;
-  StreamingHistogram a;
-  StreamingHistogram b(coarse);
-  EXPECT_THROW(a.Merge(b), ConfigError);
-}
-
 TEST(StreamingHistogram, UnderflowOverflowAndNonFiniteLandInEdgeBins) {
   StreamingHistogram hist;
-  const double min = hist.options().min_value;
-  const double max = hist.options().max_value;
-  hist.Add(0.0);                // Below min_value.
+  const double min = StreamingHistogram::kMinValue;
+  const double max = StreamingHistogram::kMaxValue;
+  hist.Add(0.0);                // Below kMinValue.
   hist.Add(-3.0);               // Negative.
   hist.Add(std::nan(""));       // NaN: fails every range check.
   hist.Add(max);                // At the upper edge: overflow.

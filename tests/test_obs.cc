@@ -3,8 +3,8 @@
  * Tests for the span-trace recorder (serving/obs/trace.h): recorded
  * event fields, per-request filtering, and the exact shape of the
  * Chrome trace-event export — pinned by parsing the emitted JSON with
- * the in-tree reader rather than string matching. Also covers the DES
- * integration path (ServingSimOptions::trace).
+ * the in-tree reader rather than string matching. Also covers sinks
+ * attached to a DES run (the engine under sim::DesEngineOptions).
  */
 #include <gtest/gtest.h>
 
@@ -13,6 +13,7 @@
 
 #include "common/check.h"
 #include "common/json_reader.h"
+#include "common/metrics.h"
 #include "core/pipeline_model.h"
 #include "core/schema.h"
 #include "hardware/cluster.h"
@@ -20,6 +21,7 @@
 #include "serving/obs/slo_alerts.h"
 #include "serving/obs/timeseries.h"
 #include "serving/obs/trace.h"
+#include "serving/runtime/engine.h"
 #include "serving/runtime/workload.h"
 #include "sim/serving_sim.h"
 #include "tests/testing/test_support.h"
@@ -184,20 +186,17 @@ TEST(TraceRecorder, DesSimulationEmitsLoadableTrace) {
   const core::Schedule schedule = SimpleSchedule(model, 8, 8, 4, 64);
   const runtime::ArrivalTrace trace = runtime::PoissonTrace(50, 100.0, 3);
 
-  const sim::ServingSimResult plain =
-      sim::SimulateServing(model, schedule, trace);
+  const runtime::RuntimeResult plain = runtime::RunServingEngine(
+      model, schedule, sim::DesEngineOptions({}), trace, "sim");
 
   TraceRecorder recorder;
-  sim::ServingSimOptions options;
+  runtime::RuntimeOptions options = sim::DesEngineOptions({});
   options.trace = &recorder;
-  const sim::ServingSimResult traced =
-      sim::SimulateServing(model, schedule, trace, options);
+  const runtime::RuntimeResult traced =
+      runtime::RunServingEngine(model, schedule, options, trace, "sim");
 
   // Observation-only: identical outcomes with the recorder attached.
-  EXPECT_EQ(traced.completed, plain.completed);
-  EXPECT_DOUBLE_EQ(traced.makespan, plain.makespan);
-  EXPECT_DOUBLE_EQ(traced.p99_ttft, plain.p99_ttft);
-  EXPECT_DOUBLE_EQ(traced.p99_tpot, plain.p99_tpot);
+  EXPECT_EQ(traced.outcome_digest, plain.outcome_digest);
 
   EXPECT_GT(recorder.size(), 0u);
   bool saw_stage_span = false;
@@ -344,10 +343,10 @@ TEST(TraceSampling, DesSampledTraceIsASubsetOfTheFullTrace) {
   const runtime::ArrivalTrace trace = runtime::PoissonTrace(80, 120.0, 3);
 
   TraceRecorder full;
-  sim::ServingSimOptions full_options;
+  runtime::RuntimeOptions full_options = sim::DesEngineOptions({});
   full_options.trace = &full;
-  const sim::ServingSimResult full_result =
-      sim::SimulateServing(model, schedule, trace, full_options);
+  const runtime::RuntimeResult full_result =
+      runtime::RunServingEngine(model, schedule, full_options, trace, "sim");
 
   TraceRecorder sampled;
   TraceSamplingOptions sampling;
@@ -355,15 +354,13 @@ TEST(TraceSampling, DesSampledTraceIsASubsetOfTheFullTrace) {
   sampling.tail_keep = 4;
   sampling.seed = 5;
   sampled.SetSampling(sampling);
-  sim::ServingSimOptions sampled_options;
+  runtime::RuntimeOptions sampled_options = sim::DesEngineOptions({});
   sampled_options.trace = &sampled;
-  const sim::ServingSimResult sampled_result =
-      sim::SimulateServing(model, schedule, trace, sampled_options);
+  const runtime::RuntimeResult sampled_result = runtime::RunServingEngine(
+      model, schedule, sampled_options, trace, "sim");
 
   // Sampling is observation-side only: identical simulation results.
-  EXPECT_EQ(sampled_result.completed, full_result.completed);
-  EXPECT_DOUBLE_EQ(sampled_result.makespan, full_result.makespan);
-  EXPECT_DOUBLE_EQ(sampled_result.p99_ttft, full_result.p99_ttft);
+  EXPECT_EQ(sampled_result.outcome_digest, full_result.outcome_digest);
 
   EXPECT_EQ(sampled.finalized_requests(), 80);
   EXPECT_EQ(sampled.pending_requests(), 0u);
@@ -398,8 +395,8 @@ TEST(TraceSampling, DesTelemetryLadderAndFlightRideAlong) {
   const core::Schedule schedule = SimpleSchedule(model, 8, 8, 4, 64);
   const runtime::ArrivalTrace trace = runtime::PoissonTrace(80, 120.0, 3);
 
-  const sim::ServingSimResult plain =
-      sim::SimulateServing(model, schedule, trace);
+  const runtime::RuntimeResult plain = runtime::RunServingEngine(
+      model, schedule, sim::DesEngineOptions({}), trace, "sim");
 
   TelemetryTimeSeries series;
   SloAlertOptions alert_options;
@@ -408,18 +405,16 @@ TEST(TraceSampling, DesTelemetryLadderAndFlightRideAlong) {
   alert_options.rules.back().long_window_seconds = 2.0;
   SloAlertEngine alerts(alert_options);
   FlightRecorder flight(32);
-  sim::ServingSimOptions options;
+  runtime::RuntimeOptions options = sim::DesEngineOptions({});
   options.timeseries = &series;
   options.alerts = &alerts;
   options.flight = &flight;
-  options.slo_ttft_seconds = 1e-9;  // Nothing can meet this.
-  const sim::ServingSimResult observed =
-      sim::SimulateServing(model, schedule, trace, options);
+  options.slo.ttft_seconds = 1e-9;  // Nothing can meet this.
+  const runtime::RuntimeResult observed =
+      runtime::RunServingEngine(model, schedule, options, trace, "sim");
 
-  EXPECT_EQ(observed.completed, plain.completed);
-  EXPECT_DOUBLE_EQ(observed.makespan, plain.makespan);
-  EXPECT_DOUBLE_EQ(observed.p99_ttft, plain.p99_ttft);
-  EXPECT_DOUBLE_EQ(observed.decode_utilization, plain.decode_utilization);
+  EXPECT_EQ(observed.outcome_digest, plain.outcome_digest);
+  EXPECT_EQ(observed.decode_utilization, plain.decode_utilization);
 
   // The ladder saw every arrival and completion.
   int64_t offered = 0;
@@ -444,55 +439,40 @@ TEST(TraceSampling, DesTelemetryLadderAndFlightRideAlong) {
 }
 
 TEST(TraceSampling, DesResultsAreUnchangedWithEverySinkAttached) {
-  // Trace, windowed telemetry, alerts and flight recorder on the DES at
-  // once, with SLO bounds set: the fields the runtime-vs-DES identity
-  // pins stay bit-identical.
+  // Trace, metrics, windowed telemetry, alerts and flight recorder on
+  // the DES at once, with SLO bounds set: the outcome digest and the
+  // server occupancy stay bit-identical.
   const core::PipelineModel model = rago::testing::TinyHyperscaleModel();
   const core::Schedule schedule = SimpleSchedule(model, 8, 8, 4, 64);
   const runtime::ArrivalTrace trace = runtime::PoissonTrace(80, 120.0, 3);
 
-  const sim::ServingSimResult plain =
-      sim::SimulateServing(model, schedule, trace);
+  const runtime::RuntimeResult plain = runtime::RunServingEngine(
+      model, schedule, sim::DesEngineOptions({}), trace, "sim");
 
   TraceRecorder recorder;
+  MetricsRegistry metrics;
   TelemetryTimeSeries series;
   SloAlertOptions alert_options;
   alert_options.rules.push_back({});
   SloAlertEngine alerts(alert_options);
   FlightRecorder flight(32);
-  sim::ServingSimOptions options;
+  runtime::RuntimeOptions options = sim::DesEngineOptions({});
   options.trace = &recorder;
+  options.metrics = &metrics;
   options.timeseries = &series;
   options.alerts = &alerts;
   options.flight = &flight;
-  options.slo_ttft_seconds = 0.05;
-  options.slo_tpot_seconds = 0.001;
-  const sim::ServingSimResult observed =
-      sim::SimulateServing(model, schedule, trace, options);
+  options.slo.ttft_seconds = 0.05;
+  options.slo.tpot_seconds = 0.001;
+  const runtime::RuntimeResult observed =
+      runtime::RunServingEngine(model, schedule, options, trace, "sim");
 
-  EXPECT_EQ(observed.completed, plain.completed);
-  EXPECT_EQ(observed.throughput, plain.throughput);
-  EXPECT_EQ(observed.makespan, plain.makespan);
-  EXPECT_EQ(observed.avg_ttft, plain.avg_ttft);
-  EXPECT_EQ(observed.p99_ttft, plain.p99_ttft);
-  EXPECT_EQ(observed.avg_tpot, plain.avg_tpot);
+  EXPECT_EQ(observed.outcome_digest, plain.outcome_digest);
+  EXPECT_EQ(observed.server_busy_seconds, plain.server_busy_seconds);
   EXPECT_EQ(observed.decode_utilization, plain.decode_utilization);
   EXPECT_GT(recorder.size(), 0u);
+  EXPECT_GT(metrics.size(), 0u);
   EXPECT_GT(flight.appended(), 0);
-}
-
-TEST(TraceSampling, SimRequiresTimeseriesForAlerts) {
-  const core::PipelineModel model = rago::testing::TinyHyperscaleModel();
-  const core::Schedule schedule = SimpleSchedule(model, 8, 8, 4, 64);
-  const runtime::ArrivalTrace trace = runtime::BurstTrace(4);
-
-  SloAlertOptions alert_options;
-  alert_options.rules.push_back({});
-  SloAlertEngine alerts(alert_options);
-  sim::ServingSimOptions options;
-  options.alerts = &alerts;  // No timeseries: nothing feeds the engine.
-  EXPECT_THROW(sim::SimulateServing(model, schedule, trace, options),
-               ConfigError);
 }
 
 }  // namespace

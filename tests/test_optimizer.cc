@@ -97,25 +97,22 @@ void ExpectBranchAndBoundIsExact(const ClusterConfig& cluster,
     SearchOptions options;
     bool cheap_for_rewriter;
   };
-  std::vector<Grid> grids(6);
+  std::vector<Grid> grids(5);
   grids[0].name = "default";
-  grids[1].name = "uniform batch";
-  grids[1].options.per_group_batching = false;
-  grids[1].cheap_for_rewriter = !large_cluster;
-  grids[2].name = "no stage pruning";
-  grids[2].options.per_stage_pareto_pruning = false;
-  grids[3].name = "budget 16";
-  grids[3].options.max_total_xpus = 16;
-  grids[3].cheap_for_rewriter = !large_cluster;
-  grids[4].name = "coarse";  // The perfbench rag_scan grid.
-  grids[4].options.batch_sizes = {1, 4, 16, 64};
-  grids[4].options.decode_batch_sizes = {16, 64, 256};
+  grids[1].name = "no stage pruning";
+  grids[1].options.per_stage_pareto_pruning = false;
+  grids[2].name = "budget 16";
+  grids[2].options.max_total_xpus = 16;
+  grids[2].cheap_for_rewriter = !large_cluster;
+  grids[3].name = "coarse";  // The perfbench rag_scan grid.
+  grids[3].options.batch_sizes = {1, 4, 16, 64};
+  grids[3].options.decode_batch_sizes = {16, 64, 256};
+  grids[3].cheap_for_rewriter = true;
+  grids[4].name = "tiny";
+  grids[4].options.batch_sizes = {1, 16};
+  grids[4].options.decode_batch_sizes = {64};
+  grids[4].options.max_total_xpus = 8;
   grids[4].cheap_for_rewriter = true;
-  grids[5].name = "tiny";
-  grids[5].options.batch_sizes = {1, 16};
-  grids[5].options.decode_batch_sizes = {64};
-  grids[5].options.max_total_xpus = 8;
-  grids[5].cheap_for_rewriter = true;
 
   struct Factory {
     const char* name;
@@ -363,20 +360,6 @@ TEST(Optimizer, IterativeSearchPicksIterativeBatch) {
   ASSERT_FALSE(result.pareto.empty());
   // The throughput-optimal point should batch iterative retrievals.
   EXPECT_GE(result.MaxQpsPerChip().schedule.iterative_batch, 1);
-}
-
-TEST(Optimizer, UniformBatchModeTiesChainBatches) {
-  const core::PipelineModel model(core::MakeLongContextSchema(8, 1'000'000),
-                                  rago::DefaultCluster());
-  SearchOptions options = SmallGrid();
-  options.per_group_batching = false;
-  const OptimizerResult result = Optimizer(model, options).Search();
-  for (const ScheduledPoint& point : result.pareto) {
-    const auto& batches = point.schedule.chain_batch;
-    for (size_t i = 1; i < batches.size(); ++i) {
-      EXPECT_EQ(batches[i], batches[0]);
-    }
-  }
 }
 
 TEST(Optimizer, RejectsNegativeThreadCount) {

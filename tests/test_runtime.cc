@@ -745,11 +745,10 @@ TEST(ServingRuntimeTest, FullTelemetryLayerIsThreadInvariantAndNeutral) {
   }
 }
 
-TEST(ServingRuntimeTest, AlertDigestFoldIsOptInAndDeterministic) {
+TEST(ServingRuntimeTest, FiringAlertsLeaveTheDigestUnchanged) {
   // Overload + an unmeetable SLO so the page rule definitely fires.
-  // Default policy: transitions are observation-only and the digest
-  // matches the unobserved run. With fold_into_digest set, the digest
-  // moves — deterministically, for every pool size.
+  // Transitions are observation-only: the digest matches the
+  // unobserved run for every pool size.
   const core::PipelineModel model = rago::testing::TinyHyperscaleModel();
   const core::Schedule schedule = SimpleSchedule(model, 8, 8, 4, 16);
   const LiveTier tier = MakeLiveTier();
@@ -770,33 +769,19 @@ TEST(ServingRuntimeTest, AlertDigestFoldIsOptInAndDeterministic) {
   alert_options.rules.back().short_window_seconds = 0.1;
   alert_options.rules.back().long_window_seconds = 0.3;
 
-  std::vector<uint64_t> folded_digests;
   for (int threads : {1, 2, 8}) {
-    for (const bool fold : {false, true}) {
-      obs::TelemetryTimeSeries series(ts_options);
-      obs::SloAlertOptions engine_options = alert_options;
-      engine_options.fold_into_digest = fold;
-      obs::SloAlertEngine alerts(engine_options);
-      RuntimeOptions options = base;
-      options.num_threads = threads;
-      options.timeseries = &series;
-      options.alerts = &alerts;
-      const ServingRuntime runtime(model, schedule, tier.index,
-                                   options);
-      const RuntimeResult result = runtime.Serve(trace, tier.queries);
+    obs::TelemetryTimeSeries series(ts_options);
+    obs::SloAlertEngine alerts(alert_options);
+    RuntimeOptions options = base;
+    options.num_threads = threads;
+    options.timeseries = &series;
+    options.alerts = &alerts;
+    const ServingRuntime runtime(model, schedule, tier.index, options);
+    const RuntimeResult result = runtime.Serve(trace, tier.queries);
 
-      ASSERT_FALSE(alerts.transitions().empty());
-      if (fold) {
-        EXPECT_NE(result.outcome_digest, plain_digest) << threads;
-        folded_digests.push_back(result.outcome_digest);
-      } else {
-        EXPECT_EQ(result.outcome_digest, plain_digest) << threads;
-      }
-    }
+    ASSERT_FALSE(alerts.transitions().empty());
+    EXPECT_EQ(result.outcome_digest, plain_digest) << threads;
   }
-  ASSERT_EQ(folded_digests.size(), 3u);
-  EXPECT_EQ(folded_digests[1], folded_digests[0]);
-  EXPECT_EQ(folded_digests[2], folded_digests[0]);
 }
 
 TEST(ServingRuntimeTest, AlertsWithoutTimeseriesAreRejected) {
@@ -901,10 +886,10 @@ TEST(ServingRuntimeTest, DesCounterTracksStopAtThePerStageCap) {
   const core::PipelineModel model = rago::testing::TinyHyperscaleModel();
   const core::Schedule schedule = SimpleSchedule(model, 8, 8, 4, 64);
   obs::TraceRecorder recorder;
-  sim::ServingSimOptions options;
+  RuntimeOptions options = sim::DesEngineOptions({});
   options.trace = &recorder;
-  sim::SimulateServing(model, schedule, PoissonTrace(4000, 200.0, 19),
-                       options);
+  RunServingEngine(model, schedule, options, PoissonTrace(4000, 200.0, 19),
+                   "sim");
 
   std::map<std::string, int64_t> requests;
   std::map<std::string, int64_t> batches;
@@ -1032,10 +1017,10 @@ TEST(EngineTraceDigest, UnsampledDesTraceIsPinned) {
   const core::PipelineModel model = rago::testing::TinyHyperscaleModel();
   const core::Schedule schedule = SimpleSchedule(model, 8, 8, 4, 64);
   obs::TraceRecorder recorder;
-  sim::ServingSimOptions options;
+  RuntimeOptions options = sim::DesEngineOptions({});
   options.trace = &recorder;
-  sim::SimulateServing(model, schedule, PoissonTrace(120, 150.0, 23),
-                       options);
+  RunServingEngine(model, schedule, options, PoissonTrace(120, 150.0, 23),
+                   "sim");
 
   const TraceDigests digests = DigestChromeTrace(recorder);
   EXPECT_EQ(digests.metadata_count, 125u);
