@@ -1,13 +1,18 @@
 /**
  * @file bench_micro_substrates.cc
  * google-benchmark microbenchmarks of the substrates: ANN kernels
- * (distance scan, PQ ADC, tree search, k-means), the roofline
+ * (distance scan, PQ ADC, tree search, k-means, top-k candidate
+ * selection), the roofline
  * inference evaluator, the retrieval cost model, schedule evaluation,
  * and the iterative-decode DES. These measure this repository's own
  * code, complementing the figure harnesses that measure the modeled
  * system.
  */
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <cstddef>
+#include <vector>
 
 #include "common/rng.h"
 #include "core/pipeline_model.h"
@@ -20,6 +25,7 @@
 #include "retrieval/ann/flat_index.h"
 #include "retrieval/ann/pq.h"
 #include "retrieval/ann/scann_tree.h"
+#include "retrieval/ann/topk.h"
 #include "retrieval/perf/scann_model.h"
 #include "sim/iterative_sim.h"
 
@@ -95,6 +101,45 @@ void BM_AnnFlatSearch(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AnnFlatSearch);
+
+/// Top-k candidate selection alone, at the shapes the scan paths feed
+/// it: Args are {k, candidates, sorted runs}. Zero runs is one stream
+/// in random order (a scan); r > 0 is r ascending runs, the shard
+/// merge's input.
+void BM_TopKSelect(benchmark::State& state) {
+  const auto k = static_cast<size_t>(state.range(0));
+  const auto n = static_cast<size_t>(state.range(1));
+  const auto runs = static_cast<size_t>(state.range(2));
+  Rng rng(5);
+  std::vector<ann::Neighbor> stream(n);
+  for (size_t i = 0; i < n; ++i) {
+    stream[i] = {static_cast<float>(rng.NextUniform(0.0, 100.0)),
+                 static_cast<int64_t>(i)};
+  }
+  for (size_t r = 0; r < runs; ++r) {
+    const auto begin = stream.begin() + static_cast<std::ptrdiff_t>(
+                                            r * n / runs);
+    const auto end = stream.begin() + static_cast<std::ptrdiff_t>(
+                                          (r + 1) * n / runs);
+    std::sort(begin, end);
+  }
+  for (auto _ : state) {
+    ann::TopK topk(k);
+    for (const ann::Neighbor& c : stream) {
+      topk.Push(c.dist, c.id);
+    }
+    benchmark::DoNotOptimize(topk.SortedTake());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(n));
+}
+BENCHMARK(BM_TopKSelect)
+    ->ArgNames({"k", "n", "runs"})
+    ->Args({4, 64, 0})      // Coarse ranking: nprobe of nlist centroids.
+    ->Args({10, 312, 0})    // IVF float list scan.
+    ->Args({64, 1250, 0})   // IVF-PQ ADC candidate pool (rerank 64).
+    ->Args({10, 64, 0})     // Exact rerank of the 64-candidate pool.
+    ->Args({10, 40, 4});    // Shard merge: 4 sorted lists of 10.
 
 void BM_RooflinePrefixEval(benchmark::State& state) {
   const models::InferenceModel model(models::Llama70B(), DefaultXpu());

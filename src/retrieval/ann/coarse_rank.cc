@@ -19,22 +19,22 @@ RankCentroidsBatch(const Matrix& queries, const Matrix& centroids,
   const size_t keep = std::min<size_t>(static_cast<size_t>(nprobe),
                                        num_centroids);
 
-  std::vector<TopK> heaps;
-  heaps.reserve(num_queries);
+  std::vector<TopK> topks;
+  topks.reserve(num_queries);
   for (size_t q = 0; q < num_queries; ++q) {
-    heaps.emplace_back(keep);
+    topks.emplace_back(keep);
   }
-  // Shared micro-tiled scan; each heap sees centroids in ascending
-  // index order, so tie-breaks match the per-query ranking exactly.
+  // Shared micro-tiled scan; TopK is order-independent, so the
+  // ranking matches the per-query one exactly.
   kernels::ScanTileIntoTopK(Metric::kL2, queries.data(), num_queries,
                             centroids.data(), num_centroids,
-                            centroids.dim(), /*base_id=*/0, heaps.data());
+                            centroids.dim(), /*base_id=*/0, topks.data());
 
   std::vector<std::vector<int32_t>> out(num_queries);
   for (size_t q = 0; q < num_queries; ++q) {
     std::vector<int32_t>& ranked = out[q];
     ranked.reserve(keep);
-    for (const Neighbor& neighbor : heaps[q].SortedTake()) {
+    for (const Neighbor& neighbor : topks[q].SortedTake()) {
       ranked.push_back(static_cast<int32_t>(neighbor.id));
     }
   }

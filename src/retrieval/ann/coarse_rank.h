@@ -9,8 +9,8 @@
  * (the same row-outer tiling FlatIndex::SearchBatch uses).
  *
  * Parity contract: within one kernel variant the batch and tile
- * kernels are bit-identical for the same (query, row) pair, and
- * centroids are offered in ascending index order in both paths, so the
+ * kernels are bit-identical for the same (query, row) pair, and TopK
+ * is order-independent under the total `(dist, id)` order, so the
  * returned ranking — ids, order, and tie-breaks — is exactly the
  * per-query ScanRowsIntoTopK ranking (pinned in
  * tests/test_distance_kernels.cc).

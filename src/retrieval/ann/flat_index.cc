@@ -23,20 +23,20 @@ std::vector<std::vector<Neighbor>>
 FlatIndex::SearchBatch(const Matrix& queries, size_t k) const {
   RAGO_REQUIRE(queries.dim() == data_.dim(), "query dimensionality mismatch");
   const size_t num_queries = queries.rows();
-  std::vector<TopK> heaps;
-  heaps.reserve(num_queries);
+  std::vector<TopK> topks;
+  topks.reserve(num_queries);
   for (size_t q = 0; q < num_queries; ++q) {
-    heaps.emplace_back(k);
+    topks.emplace_back(k);
   }
   // Shared micro-tiled scan: every database row is streamed once per
-  // query tile, and each heap sees distances in ascending row order,
-  // so results are bit-identical to per-query Search.
+  // query tile, and TopK is order-independent, so results are
+  // bit-identical to per-query Search.
   kernels::ScanTileIntoTopK(metric_, queries.data(), num_queries,
                             data_.data(), data_.rows(), data_.dim(),
-                            /*base_id=*/0, heaps.data());
+                            /*base_id=*/0, topks.data());
   std::vector<std::vector<Neighbor>> out(num_queries);
   for (size_t q = 0; q < num_queries; ++q) {
-    out[q] = heaps[q].SortedTake();
+    out[q] = topks[q].SortedTake();
   }
   return out;
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <queue>
 #include <unordered_set>
 
@@ -155,19 +156,33 @@ std::vector<Neighbor>
 HnswIndex::SearchLayer(const float* query, int32_t entry, int ef,
                        int layer, int64_t& evals, Scratch& scratch) const {
   std::unordered_set<int32_t> visited = {entry};
-  // Min-heap of candidates to expand; bounded max-heap of results.
+  // Min-heap of candidates to expand; max-heap of the ef best results.
+  // The walk stops and admits on the exact ef-th distance after every
+  // admission, which the results heap keeps at its top.
   std::priority_queue<Neighbor, std::vector<Neighbor>,
                       std::greater<Neighbor>>
       candidates;
-  TopK results(static_cast<size_t>(ef));
+  std::priority_queue<Neighbor> results;
+  const auto bound = static_cast<size_t>(ef);
+  auto threshold = [&results, bound] {
+    return results.size() < bound ? std::numeric_limits<float>::infinity()
+                                  : results.top().dist;
+  };
+  // Called only below the threshold, so the newcomer always stays.
+  auto admit = [&results, bound](const Neighbor& result) {
+    results.push(result);
+    if (results.size() > bound) {
+      results.pop();
+    }
+  };
   const float entry_dist = Dist(query, entry, evals);
   candidates.push(Neighbor{entry_dist, entry});
-  results.Push(entry_dist, entry);
+  admit(Neighbor{entry_dist, entry});
 
   while (!candidates.empty()) {
     const Neighbor current = candidates.top();
     candidates.pop();
-    if (current.dist > results.Threshold()) {
+    if (current.dist > threshold()) {
       break;  // No candidate can improve the result set.
     }
     // Stage this hop's unvisited neighbors into the gather buffers
@@ -186,13 +201,18 @@ HnswIndex::SearchLayer(const float* query, int32_t entry, int ef,
     BatchDist(query, scratch.ids.size(), scratch, evals);
     for (size_t i = 0; i < scratch.ids.size(); ++i) {
       const float d = scratch.dists[i];
-      if (d < results.Threshold()) {
+      if (d < threshold()) {
         candidates.push(Neighbor{d, scratch.ids[i]});
-        results.Push(d, scratch.ids[i]);
+        admit(Neighbor{d, scratch.ids[i]});
       }
     }
   }
-  return results.SortedTake();
+  // The heap pops worst first; fill from the back for ascending order.
+  std::vector<Neighbor> found(results.size());
+  for (size_t i = found.size(); i > 0; results.pop()) {
+    found[--i] = results.top();
+  }
+  return found;
 }
 
 std::vector<int32_t>

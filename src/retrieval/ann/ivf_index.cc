@@ -29,8 +29,9 @@ IvfIndex::IvfIndex(Matrix data, Metric metric, const IvfOptions& options,
   }
 
   // Regroup rows list-contiguously so each probe scans one block with
-  // the batched kernels; ids stay ascending within a list, preserving
-  // the deterministic tie-break order of the old scattered scan.
+  // the batched kernels; each row keeps its id, and TopK ranks by
+  // `(dist, id)` whatever the scan order, so results match the old
+  // scattered scan.
   reordered_ = Matrix(num_rows_, dim_);
   list_offsets_.resize(static_cast<size_t>(nlist_) + 1);
   size_t next = 0;

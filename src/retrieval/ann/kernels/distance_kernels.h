@@ -33,8 +33,10 @@
  *  - Within one variant, the batch and tile kernels produce
  *    bit-identical values for the same (query, row) pair, and the
  *    scalar variant is bit-identical to the legacy sequential loops in
- *    distance.h. Scan order (and therefore every TopK id tie-break)
- *    never depends on the variant.
+ *    distance.h. TopK keeps the k smallest candidates under the total
+ *    `(dist, id)` order, so a scan's top-k is order-independent: it
+ *    depends only on the distances, never on the order a scan offers
+ *    them in (distances finite or +inf; NaN has no place in the order).
  *  - Across variants, SIMD reassociates the per-dimension accumulation
  *    of the *float* kernels (l2sq/dot batch and tile), so those
  *    distances may differ in the last few ulps. Exact search paths
@@ -210,7 +212,8 @@ float DistanceOne(Metric metric, const float* query, const float* row,
 
 /**
  * Scans `num_rows` contiguous rows and offers every distance to
- * `topk` in row order (so the deterministic id tie-break is preserved).
+ * `topk`, whose result is order-independent under the total
+ * `(dist, id)` order.
  * Candidate ids are `ids[i]` when `ids` is non-null, else `base_id + i`.
  * Tiles internally; `scratch` is grown as needed and reusable across
  * calls.
@@ -224,8 +227,10 @@ void ScanRowsIntoTopK(Metric metric, const float* query, const float* rows,
  * ADC-scans `num_codes` codes stored in the packed (blocked
  * subspace-major) layout — see KernelTable::adc_packed for the exact
  * byte layout — against `table` (m x kAdcCentroids, subspace-major)
- * and offers every distance to `topk` in code order, so results
- * (distances, ids, tie-breaks) are the same in every variant.
+ * and offers every distance to `topk`. ADC distances are bit-identical
+ * across variants and TopK is order-independent under the total
+ * `(dist, id)` order, so results (distances, ids, tie-breaks) are the
+ * same in every variant.
  * Candidate ids are `ids[i]` when non-null, else `base_id + i`.
  */
 void ScanCodesPackedIntoTopK(const float* table, const uint8_t* packed,
@@ -236,16 +241,17 @@ void ScanCodesPackedIntoTopK(const float* table, const uint8_t* packed,
 /**
  * Micro-tiled multi-query scan: streams `num_rows` contiguous rows
  * once per query tile through the tile kernel and offers every
- * (query, row) distance to `heaps[query]` in ascending row order
- * (candidate ids `base_id + row`), so per-heap tie-breaks match a
- * per-query ScanRowsIntoTopK scan exactly. `heaps` must hold
- * `num_queries` accumulators. The shared core of
+ * (query, row) distance to `topks[query]` (candidate ids
+ * `base_id + row`). Tile and batch kernels give the same distances and
+ * TopK is order-independent under the total `(dist, id)` order, so
+ * each result equals a per-query ScanRowsIntoTopK scan exactly.
+ * `topks` must hold `num_queries` accumulators. The shared core of
  * FlatIndex::SearchBatch and the IVF coarse-centroid block ranking.
  */
 void ScanTileIntoTopK(Metric metric, const float* queries,
                       size_t num_queries, const float* rows,
                       size_t num_rows, size_t dim, int64_t base_id,
-                      TopK* heaps);
+                      TopK* topks);
 
 /**
  * Index of the row nearest to `query` by squared L2 (first index wins

@@ -14,6 +14,19 @@ namespace {
 /// centroid block is streamed once per 8 points.
 constexpr size_t kAssignTile = 8;
 
+/// Writes `rows` column-major into `cols` (the l2sq_cols layout):
+/// dimension d of row i lands at `cols[d * rows.rows() + i]`.
+void TransposeInto(const Matrix& rows, std::vector<float>& cols) {
+  const size_t n = rows.rows();
+  cols.resize(rows.dim() * n);
+  for (size_t i = 0; i < n; ++i) {
+    const float* row = rows.Row(i);
+    for (size_t d = 0; d < rows.dim(); ++d) {
+      cols[d * n + i] = row[d];
+    }
+  }
+}
+
 /// k-means++ seeding: each new centroid is drawn proportionally to the
 /// squared distance from the nearest already-chosen centroid.
 Matrix SeedPlusPlus(const Matrix& data, int k, Rng& rng) {
@@ -26,12 +39,26 @@ Matrix SeedPlusPlus(const Matrix& data, int k, Rng& rng) {
   size_t first = rng.NextBounded(n);
   centroids.CopyRowFrom(data, first, 0);
 
+  // Below kMinRowSimdDim the row-major batch kernel runs its scalar
+  // remainder alone; a transposed copy of the data gives the column-
+  // major kernel one point per SIMD lane and the same bits.
+  const bool column_major = dim < kernels::kMinRowSimdDim;
+  std::vector<float> data_cols;
+  if (column_major) {
+    TransposeInto(data, data_cols);
+  }
+  const kernels::KernelTable& active = kernels::Active();
+
   for (int c = 1; c < k; ++c) {
     const float* last = centroids.Row(static_cast<size_t>(c - 1));
     // One batched scan of the whole database against the newest
     // centroid replaces n single-row distance calls.
-    kernels::DistanceBatch(Metric::kL2, last, data.data(), n, dim,
-                           dist.data());
+    if (column_major) {
+      active.l2sq_cols(last, data_cols.data(), n, dim, dist.data());
+    } else {
+      kernels::DistanceBatch(Metric::kL2, last, data.data(), n, dim,
+                             dist.data());
+    }
     double total = 0.0;
     for (size_t i = 0; i < n; ++i) {
       min_dist[i] = std::min(min_dist[i], dist[i]);
@@ -94,7 +121,7 @@ TrainKMeans(const Matrix& data, int k, Rng& rng, const KMeansOptions& options) {
   // remainder alone; the column-major kernel gives the same bits with
   // one centroid per SIMD lane.
   const bool column_major = dim < kernels::kMinRowSimdDim;
-  std::vector<float> centroid_cols(column_major ? dim * num_centroids : 0);
+  std::vector<float> centroid_cols;
   double prev_inertia = std::numeric_limits<double>::max();
 
   for (int iter = 0; iter < options.max_iterations; ++iter) {
@@ -114,12 +141,7 @@ TrainKMeans(const Matrix& data, int k, Rng& rng, const KMeansOptions& options) {
       }
     };
     if (column_major) {
-      for (size_t c = 0; c < num_centroids; ++c) {
-        const float* centroid = result.centroids.Row(c);
-        for (size_t d = 0; d < dim; ++d) {
-          centroid_cols[d * num_centroids + c] = centroid[d];
-        }
-      }
+      TransposeInto(result.centroids, centroid_cols);
       for (size_t i = 0; i < n; ++i) {
         float d = 0.0f;
         const size_t c =

@@ -19,9 +19,10 @@ namespace rago::ann {
 
 /**
  * Re-scores `shortlist` (ids into `raw`) with exact L2 distances to
- * `query` and returns the top `k`. Pushes in shortlist order
- * (ascending approximate distance), so equal exact distances keep the
- * deterministic TopK id tie-break.
+ * `query` and returns the top `k`. The result is order-independent
+ * under the total `(dist, id)` order (exact distances finite; NaN has
+ * no place in it), so equal exact distances resolve to the lower id
+ * whatever the shortlist order.
  */
 inline std::vector<Neighbor> RerankExactL2(
     const std::vector<Neighbor>& shortlist, const float* query,

@@ -417,7 +417,9 @@ ShardedIndex::SearchBatch(const ann::Matrix& queries, size_t k,
     }
   }
 
-  // --- Gather: merge per-shard heaps with the deterministic order. ---
+  // --- Gather: merge per-shard result lists. TopK is order-independent
+  // under the total (dist, id) order, so the merge never depends on
+  // shard or completion order.
   // Measurement only (merge wall_s). rago-lint: allow(wallclock)
   const Clock::time_point merge_start = Clock::now();
   std::vector<std::vector<ann::Neighbor>> merged(num_queries);

@@ -5,8 +5,8 @@
  * Functional counterpart of the paper's multi-server retrieval tier
  * (§3.3): the database is partitioned across N logical servers, every
  * query fans out to all shards (each shard searched by any of the
- * existing functional backends), and per-shard top-k heaps are merged
- * into globally ranked results with the deterministic TopK tie-break.
+ * existing functional backends), and per-shard top-k lists are merged
+ * into globally ranked results under TopK's total `(dist, id)` order.
  * With the flat backend the merged results are bit-identical to a
  * single-index search — the property the exactness tests pin — and
  * per-shard timing instrumentation feeds the measured-cost calibration

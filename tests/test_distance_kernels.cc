@@ -703,6 +703,44 @@ TEST(DistanceKernels, IvfPqSearchBatchDigestIsPinned) {
   }
 }
 
+TEST(DistanceKernels, HnswSearchDigestIsPinned) {
+  // Every bit of HNSW graph construction and search, pinned: the graph
+  // walk keeps its own bounded result heap, so a change to that heap's
+  // admission order or tie-break fails here. Same variant split as the
+  // IVF-PQ pin: dim 16 under forced scalar, dim 4 in both modes.
+  struct Case {
+    size_t dim;
+    bool force_scalar;
+    uint64_t digest;
+  };
+  const Case cases[] = {
+      {16, true, 181779172249966889ull},
+      {4, true, 629514589093022437ull},
+      {4, false, 629514589093022437ull},
+  };
+  for (const Case& c : cases) {
+    ForceScalarGuard guard(c.force_scalar);
+    rago::testing::AnnTestBedOptions bed_options;
+    bed_options.rows = 2000;
+    bed_options.dim = c.dim;
+    bed_options.num_queries = 24;
+    const rago::testing::AnnTestBed bed =
+        rago::testing::MakeAnnTestBed(bed_options);
+    Rng rng(23);
+    HnswOptions options;
+    options.max_degree = 8;
+    options.ef_construction = 32;
+    const HnswIndex index(rago::testing::CopyMatrix(bed.data), Metric::kL2,
+                          options, rng);
+    std::vector<std::vector<Neighbor>> results;
+    for (size_t q = 0; q < bed.queries.rows(); ++q) {
+      results.push_back(index.Search(bed.queries.Row(q), 10, 16));
+      results.push_back(index.Search(bed.queries.Row(q), 10, 48));
+    }
+    EXPECT_EQ(ResultDigest(results), c.digest) << "dim " << c.dim;
+  }
+}
+
 TEST(DistanceKernels, ScannTreeRecallParityScalarVsDispatched) {
   // The tree's leaf scan runs on the packed layout; recall must not
   // depend on the kernel variant.
