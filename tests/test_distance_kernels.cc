@@ -5,7 +5,7 @@
  * bit-identity, column-major and ADC bit-identity, deterministic
  * tie-breaks, end-to-end id parity (exact paths) / recall parity
  * (approximate paths) between the scalar and dispatched variants, and
- * a pinned IVF-PQ result digest.
+ * pinned Flat, IVF, IVF-PQ, ScaNN-tree and HNSW result digests.
  */
 #include <gtest/gtest.h>
 
@@ -738,6 +738,106 @@ TEST(DistanceKernels, HnswSearchDigestIsPinned) {
       results.push_back(index.Search(bed.queries.Row(q), 10, 48));
     }
     EXPECT_EQ(ResultDigest(results), c.digest) << "dim " << c.dim;
+  }
+}
+
+/// The pinned-digest test bed: 3000 rows and 24 queries at `dim`.
+rago::testing::AnnTestBed PinBed(size_t dim) {
+  rago::testing::AnnTestBedOptions bed_options;
+  bed_options.rows = 3000;
+  bed_options.dim = dim;
+  bed_options.num_queries = 24;
+  return rago::testing::MakeAnnTestBed(bed_options);
+}
+
+TEST(DistanceKernels, FlatSearchBatchDigestIsPinned) {
+  // Every bit of the exact tile scan, pinned. Same variant split as the
+  // IVF-PQ pin: dim 32 under forced scalar, dim 4 in both modes.
+  struct Case {
+    size_t dim;
+    bool force_scalar;
+    uint64_t digest;
+  };
+  const Case cases[] = {
+      {32, true, 1377419133161433418ull},
+      {4, true, 13957923704281393212ull},
+      {4, false, 13957923704281393212ull},
+  };
+  for (const Case& c : cases) {
+    ForceScalarGuard guard(c.force_scalar);
+    const rago::testing::AnnTestBed bed = PinBed(c.dim);
+    const FlatIndex index(rago::testing::CopyMatrix(bed.data), Metric::kL2);
+    EXPECT_EQ(ResultDigest(index.SearchBatch(bed.queries, 10)), c.digest)
+        << "dim " << c.dim;
+  }
+}
+
+TEST(DistanceKernels, IvfSearchBatchDigestIsPinned) {
+  // Every bit of IVF training, coarse ranking and float list scans (the
+  // backend of the cache-heavy serving benchmark), pinned. With 64
+  // lists over 32 clusters one probe misses true neighbours, so its
+  // digest differs from the exact one; four probes find them all.
+  // Same variant split as the IVF-PQ pin.
+  struct Case {
+    size_t dim;
+    bool force_scalar;
+    uint64_t one_probe;
+    uint64_t four_probes;
+  };
+  const Case cases[] = {
+      {32, true, 10965099277402209589ull, 1377419133161433418ull},
+      {4, true, 12479416842929448129ull, 13957923704281393212ull},
+      {4, false, 12479416842929448129ull, 13957923704281393212ull},
+  };
+  for (const Case& c : cases) {
+    ForceScalarGuard guard(c.force_scalar);
+    const rago::testing::AnnTestBed bed = PinBed(c.dim);
+    Rng rng(25);
+    IvfOptions options;
+    options.nlist = 64;
+    options.kmeans_iterations = 6;
+    const IvfIndex index(rago::testing::CopyMatrix(bed.data), Metric::kL2,
+                         options, rng);
+    EXPECT_EQ(ResultDigest(index.SearchBatch(bed.queries, 10, /*nprobe=*/1)),
+              c.one_probe)
+        << "dim " << c.dim;
+    EXPECT_EQ(ResultDigest(index.SearchBatch(bed.queries, 10, /*nprobe=*/4)),
+              c.four_probes)
+        << "dim " << c.dim;
+  }
+}
+
+TEST(DistanceKernels, ScannTreeSearchBatchDigestIsPinned) {
+  // Every bit of tree training, PQ leaf encoding, beam search, ADC leaf
+  // scans and rerank, pinned. Same variant split as the IVF-PQ pin.
+  struct Case {
+    size_t dim;
+    int m;
+    bool force_scalar;
+    uint64_t plain;
+    uint64_t reranked;
+  };
+  const Case cases[] = {
+      {32, 8, true, 5333944386616711556ull, 2919151063561945155ull},
+      {4, 1, true, 11801583204256093050ull, 9526148909281086084ull},
+      {4, 1, false, 11801583204256093050ull, 9526148909281086084ull},
+  };
+  for (const Case& c : cases) {
+    ForceScalarGuard guard(c.force_scalar);
+    const rago::testing::AnnTestBed bed = PinBed(c.dim);
+    Rng rng(27);
+    ScannTreeOptions options;
+    options.levels = 2;
+    options.fanout = 6;
+    options.pq_subspaces = c.m;
+    options.kmeans_iterations = 6;
+    const ScannTree tree(rago::testing::CopyMatrix(bed.data), options, rng);
+    const uint64_t plain = ResultDigest(
+        tree.SearchBatch(bed.queries, 10, /*beam=*/3, /*rerank=*/0));
+    const uint64_t reranked = ResultDigest(
+        tree.SearchBatch(bed.queries, 10, /*beam=*/3, /*rerank=*/40));
+    EXPECT_EQ(plain, c.plain) << "dim " << c.dim;
+    EXPECT_EQ(reranked, c.reranked) << "dim " << c.dim;
   }
 }
 
