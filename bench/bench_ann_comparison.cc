@@ -7,6 +7,7 @@
  * harness quantifies both sides: recall, distance evaluations /
  * scanned bytes per query, and index memory.
  */
+#include <cstdint>
 #include <cstdio>
 #include <vector>
 
@@ -31,7 +32,7 @@ int main(int argc, char** argv) {
   const Matrix data = GenClustered(n, dim, 64, 0.3f, rng);
   const Matrix queries = GenQueriesNear(data, 32, 0.1f, rng);
 
-  const FlatIndex flat(data.Clone(), Metric::kL2);
+  const FlatIndex flat(data.Clone());
   const std::vector<std::vector<Neighbor>> truth =
       flat.SearchBatch(queries, 10);
 
@@ -112,17 +113,16 @@ int main(int argc, char** argv) {
   // HNSW graph: full-precision vectors + links.
   {
     Rng build_rng(3);
-    const HnswIndex index(data.Clone(), Metric::kL2, HnswOptions{},
-                          build_rng);
+    const HnswIndex index(data.Clone(), HnswOptions{}, build_rng);
     const double bytes_per_vector =
         dim * 4.0 +
         static_cast<double>(index.GraphBytes()) / static_cast<double>(n);
     for (int ef : {16, 64, 128}) {
-      const auto results = index.SearchBatch(queries, 10, ef);
+      int64_t evals = 0;
+      const auto results = index.SearchBatch(queries, 10, ef, &evals);
       const double recall = MeanRecallAtK(results, truth, 10);
-      const double evals_per_query =
-          static_cast<double>(index.last_distance_evals()) /
-          static_cast<double>(queries.rows());
+      const double evals_per_query = static_cast<double>(evals) /
+                                     static_cast<double>(queries.rows());
       table.AddRow({"HNSW", "ef=" + std::to_string(ef),
                     kernel_variant, TextTable::Num(recall, 3),
                     TextTable::Num(evals_per_query, 4) + " dists",

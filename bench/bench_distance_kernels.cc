@@ -2,7 +2,7 @@
  * @file bench_distance_kernels.cc
  * Distance-kernel micro-benchmark: GB/s and distance evals/s per
  * compiled kernel variant (scalar / avx2 / avx512) for the batched
- * L2 / inner-product, multi-query micro-tile, PQ ADC table-build
+ * L2, multi-query L2 micro-tile, PQ ADC table-build
  * (column-major codebooks) and packed (fast-scan) ADC kernels, plus
  * the headline speedups: batched-AVX2 vs scalar-single-row, and each
  * variant's table build and packed ADC vs scalar. The working set is
@@ -182,16 +182,6 @@ int main(int argc, char** argv) {
       if (std::string(variant.name) == "avx2") {
         avx2_batch_evals_per_sec = per_sec * static_cast<double>(rows);
       }
-    }
-    {
-      const Measurement m = MeasureFor([&] {
-        table.dot_batch(queries.data(), data.data(), rows, dim, out.data());
-        g_sink += out[rows / 2];
-      });
-      const double per_sec = static_cast<double>(m.reps) / m.seconds;
-      results.push_back({"dot_batch", variant.name,
-                         per_sec * row_bytes / 1e9,
-                         per_sec * static_cast<double>(rows)});
     }
     {
       const Measurement m = MeasureFor([&] {

@@ -93,7 +93,7 @@ void BM_AnnFlatSearch(benchmark::State& state) {
   Rng rng(4);
   ann::Matrix data = ann::GenUniform(10000, 96, rng);
   const ann::Matrix queries = ann::GenUniform(16, 96, rng);
-  const ann::FlatIndex index(std::move(data), ann::Metric::kL2);
+  const ann::FlatIndex index(std::move(data));
   size_t q = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(index.Search(queries.Row(q % 16), 10));

@@ -378,7 +378,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- Roofline: machine peaks + the five scan shapes. ---
+  // --- Roofline: machine peaks + the four kernel slots' scan shapes
+  // (L2 batch, L2 micro-tile, PQ table build on the column-major
+  // slot, packed ADC). ---
   retrieval::ProbeOptions probe;
   retrieval::KernelProfileOptions kprof;
   if (quick) {
@@ -392,9 +394,8 @@ int main(int argc, char** argv) {
       retrieval::CalibrateMachinePeaks(probe);
   const retrieval::KernelProfiler profiler(peaks, kprof);
   const std::vector<retrieval::KernelRooflinePoint> points = {
-      profiler.ProfileL2Batch(), profiler.ProfileIpBatch(),
-      profiler.ProfileL2Tile(), profiler.ProfilePqTableBuild(),
-      profiler.ProfileAdcPacked()};
+      profiler.ProfileL2Batch(), profiler.ProfileL2Tile(),
+      profiler.ProfilePqTableBuild(), profiler.ProfileAdcPacked()};
 
   // --- Measured-cost optimizer pass (informational: wall-clock
   // calibration makes the chosen schedule machine-dependent). ---

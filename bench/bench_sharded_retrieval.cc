@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
   const ann::Matrix queries =
       ann::GenQueriesNear(data, num_queries, 0.1f, rng);
 
-  const ann::FlatIndex flat(data.Clone(), ann::Metric::kL2);
+  const ann::FlatIndex flat(data.Clone());
   const auto truth = flat.SearchBatch(queries, k);
 
   Banner("sharded scatter-gather retrieval sweep (20K x 64-d)");

@@ -33,7 +33,7 @@ int main() {
   const ann::Matrix queries = ann::GenQueriesNear(data, 16, 0.1f, rng);
 
   // Single-index oracle for the exactness check.
-  const ann::FlatIndex single(data.Clone(), ann::Metric::kL2);
+  const ann::FlatIndex single(data.Clone());
   const auto truth = single.SearchBatch(queries, 10);
 
   std::printf("sharded scatter-gather search: %zu vectors, %zu dims, "

@@ -31,7 +31,7 @@ int main() {
   for (size_t i = 0; i < data.rows(); ++i) {
     copy.CopyRowFrom(data, i, i);
   }
-  const ann::FlatIndex flat(std::move(copy), ann::Metric::kL2);
+  const ann::FlatIndex flat(std::move(copy));
   std::vector<std::vector<ann::Neighbor>> truth;
   for (size_t q = 0; q < queries.rows(); ++q) {
     truth.push_back(flat.Search(queries.Row(q), 10));

@@ -13,7 +13,6 @@
 #define RAGO_CORE_PIPELINE_MODEL_H
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -176,7 +175,6 @@ class PipelineModel {
   std::unique_ptr<models::InferenceModel> encoder_;
   std::unique_ptr<models::InferenceModel> rewriter_;
   std::unique_ptr<models::InferenceModel> reranker_;
-  std::unique_ptr<retrieval::RetrievalModel> retrieval_single_server_;
 };
 
 }  // namespace rago::core

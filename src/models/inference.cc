@@ -45,8 +45,8 @@ InferenceModel::WeightBytesPerChip(const ShardingPlan& plan) const {
 
 PhaseCost
 InferenceModel::EvalPlan(const std::vector<Op>& ops, const ShardingPlan& plan,
-                         double per_layer_comm_bytes, double kv_cache_bytes,
-                         bool decode_step) const {
+                         double per_layer_comm_bytes,
+                         double kv_cache_bytes) const {
   const double eff_flops = xpu_.EffectiveFlops();
   const double eff_mem = xpu_.EffectiveMemBw();
   const double eff_net = xpu_.EffectiveNetBw();
@@ -83,17 +83,14 @@ InferenceModel::EvalPlan(const std::vector<Op>& ops, const ShardingPlan& plan,
   PhaseCost cost;
   cost.plan = plan;
   // A single request traverses every stage: latency is the full sum.
+  // For decode this is also TPOT: a sequence's next step cannot start
+  // until its current step leaves the last stage, while interleaved
+  // batches keep the stages busy for throughput.
   cost.latency = total;
   // In steady state each pipeline stage works on a different
   // (micro)batch, so completions are paced by the slowest stage.
   const double stage_time = (compute_time + comm_time) / pipeline + pp_comm;
   cost.throughput = 1.0 / stage_time;  // Batches (or steps) per second.
-  if (decode_step) {
-    // For decode, a sequence's next step cannot start until its current
-    // step finishes the full pipeline, so TPOT is the full latency;
-    // interleaved batches keep stages busy for throughput.
-    cost.latency = total;
-  }
 
   cost.mem_per_chip = config_.WeightBytes() / plan.Chips() +
                       kv_cache_bytes / plan.Chips();
@@ -118,8 +115,7 @@ InferenceModel::PrefixOptions(int chips, int64_t batch, int64_t seq_len,
     const double kv_bytes = static_cast<double>(replica_batch) * seq_len *
                             config_.KvBytesPerToken();
     for (const ShardingPlan& plan : PlansFor(sub_chips)) {
-      PhaseCost cost = EvalPlan(ops, plan, per_layer_comm, kv_bytes,
-                                /*decode_step=*/false);
+      PhaseCost cost = EvalPlan(ops, plan, per_layer_comm, kv_bytes);
       // Each replica completes replica-batches at the stage rate;
       // fleet items/s = full batch times that rate.
       cost.throughput *= static_cast<double>(batch);
@@ -148,8 +144,7 @@ InferenceModel::DecodeOptions(int chips, int64_t batch, int64_t context_len,
     const double kv_bytes = static_cast<double>(replica_batch) * max_context *
                             config_.KvBytesPerToken();
     for (const ShardingPlan& plan : PlansFor(sub_chips)) {
-      PhaseCost cost =
-          EvalPlan(ops, plan, per_layer_comm, kv_bytes, /*decode_step=*/true);
+      PhaseCost cost = EvalPlan(ops, plan, per_layer_comm, kv_bytes);
       // Tokens per second across all replicas' continuous batches.
       cost.throughput *= static_cast<double>(batch);
       cost.plan.replicas = replicas;
@@ -175,7 +170,7 @@ InferenceModel::EncodeOptions(int chips, int64_t batch,
     // Encoders emit embeddings; no KV cache is retained.
     for (const ShardingPlan& plan : PlansFor(sub_chips)) {
       PhaseCost cost = EvalPlan(ops, plan, per_layer_comm,
-                                /*kv_cache_bytes=*/0, /*decode_step=*/false);
+                                /*kv_cache_bytes=*/0);
       cost.throughput *= static_cast<double>(batch);  // Chunks per second.
       cost.plan.replicas = replicas;
       options.push_back(cost);

@@ -111,8 +111,8 @@ class InferenceModel {
 
  private:
   PhaseCost EvalPlan(const std::vector<Op>& ops, const ShardingPlan& plan,
-                     double per_layer_comm_bytes, double kv_cache_bytes,
-                     bool decode_step) const;
+                     double per_layer_comm_bytes,
+                     double kv_cache_bytes) const;
 
   std::vector<ShardingPlan> PlansFor(int chips) const;
 

@@ -26,9 +26,9 @@ RankCentroidsBatch(const Matrix& queries, const Matrix& centroids,
   }
   // Shared micro-tiled scan; TopK is order-independent, so the
   // ranking matches the per-query one exactly.
-  kernels::ScanTileIntoTopK(Metric::kL2, queries.data(), num_queries,
-                            centroids.data(), num_centroids,
-                            centroids.dim(), /*base_id=*/0, topks.data());
+  kernels::ScanTileIntoTopK(queries.data(), num_queries, centroids.data(),
+                            num_centroids, centroids.dim(), /*base_id=*/0,
+                            topks.data());
 
   std::vector<std::vector<int32_t>> out(num_queries);
   for (size_t q = 0; q < num_queries; ++q) {

@@ -1,7 +1,5 @@
 #include "retrieval/ann/distance.h"
 
-#include "common/check.h"
-
 namespace rago::ann {
 
 float
@@ -12,27 +10,6 @@ L2Sq(const float* a, const float* b, size_t dim) {
     sum += diff * diff;
   }
   return sum;
-}
-
-float
-Dot(const float* a, const float* b, size_t dim) {
-  float sum = 0.0f;
-  for (size_t d = 0; d < dim; ++d) {
-    sum += a[d] * b[d];
-  }
-  return sum;
-}
-
-float
-Distance(Metric metric, const float* a, const float* b, size_t dim) {
-  switch (metric) {
-    case Metric::kL2:
-      return L2Sq(a, b, dim);
-    case Metric::kInnerProduct:
-      return -Dot(a, b, dim);
-  }
-  // An unhandled Metric must fail loudly, not masquerade as distance 0.
-  RAGO_CHECK(false, "unhandled Metric in Distance()");
 }
 
 }  // namespace rago::ann

@@ -1,16 +1,13 @@
 /**
  * @file distance.h
- * Distance kernels for the functional ANN library.
+ * Scalar distance reference for the functional ANN library.
  *
- * Distances follow the "smaller is better" convention: inner-product
- * similarity is negated so the same top-k machinery serves both
- * metrics.
- *
- * These per-pair functions are the portable scalar reference. Scan
- * loops should use the batched kernel layer in
+ * Every index ranks by squared L2 distance, smaller meaning more
+ * similar. This per-pair function is the portable scalar reference.
+ * Scan loops should use the batched kernel layer in
  * kernels/distance_kernels.h instead, which runs the same math through
  * runtime-dispatched SIMD variants (the scalar variant is bit-identical
- * to these loops).
+ * to this loop).
  */
 #ifndef RAGO_RETRIEVAL_ANN_DISTANCE_H
 #define RAGO_RETRIEVAL_ANN_DISTANCE_H
@@ -19,20 +16,8 @@
 
 namespace rago::ann {
 
-/// Supported similarity metrics.
-enum class Metric {
-  kL2,            ///< Squared Euclidean distance.
-  kInnerProduct,  ///< Negated dot product (maximum inner product search).
-};
-
 /// Squared L2 distance between two `dim`-wide vectors.
 float L2Sq(const float* a, const float* b, size_t dim);
-
-/// Dot product between two `dim`-wide vectors.
-float Dot(const float* a, const float* b, size_t dim);
-
-/// Metric dispatch; returns a value where smaller means more similar.
-float Distance(Metric metric, const float* a, const float* b, size_t dim);
 
 }  // namespace rago::ann
 

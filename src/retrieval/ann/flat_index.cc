@@ -5,17 +5,15 @@
 
 namespace rago::ann {
 
-FlatIndex::FlatIndex(Matrix data, Metric metric)
-    : data_(std::move(data)), metric_(metric) {
+FlatIndex::FlatIndex(Matrix data) : data_(std::move(data)) {
   RAGO_REQUIRE(!data_.empty(), "flat index requires a non-empty database");
 }
 
 std::vector<Neighbor>
 FlatIndex::Search(const float* query, size_t k) const {
   TopK topk(k);
-  kernels::ScanRowsIntoTopK(metric_, query, data_.data(), data_.rows(),
-                            data_.dim(), /*ids=*/nullptr, /*base_id=*/0,
-                            topk);
+  kernels::ScanRowsIntoTopK(query, data_.data(), data_.rows(), data_.dim(),
+                            /*ids=*/nullptr, /*base_id=*/0, topk);
   return topk.SortedTake();
 }
 
@@ -31,9 +29,9 @@ FlatIndex::SearchBatch(const Matrix& queries, size_t k) const {
   // Shared micro-tiled scan: every database row is streamed once per
   // query tile, and TopK is order-independent, so results are
   // bit-identical to per-query Search.
-  kernels::ScanTileIntoTopK(metric_, queries.data(), num_queries,
-                            data_.data(), data_.rows(), data_.dim(),
-                            /*base_id=*/0, topks.data());
+  kernels::ScanTileIntoTopK(queries.data(), num_queries, data_.data(),
+                            data_.rows(), data_.dim(), /*base_id=*/0,
+                            topks.data());
   std::vector<std::vector<Neighbor>> out(num_queries);
   for (size_t q = 0; q < num_queries; ++q) {
     out[q] = topks[q].SortedTake();

@@ -11,7 +11,6 @@
 
 #include <vector>
 
-#include "retrieval/ann/distance.h"
 #include "retrieval/ann/matrix.h"
 #include "retrieval/ann/topk.h"
 
@@ -20,7 +19,7 @@ namespace rago::ann {
 /// Exact k-nearest-neighbor search over an in-memory matrix.
 class FlatIndex {
  public:
-  FlatIndex(Matrix data, Metric metric);
+  explicit FlatIndex(Matrix data);
 
   /// Exact top-k neighbors of `query`, sorted by ascending distance.
   std::vector<Neighbor> Search(const float* query, size_t k) const;
@@ -35,7 +34,6 @@ class FlatIndex {
 
  private:
   Matrix data_;
-  Metric metric_;
 };
 
 }  // namespace rago::ann

@@ -11,9 +11,8 @@
 
 namespace rago::ann {
 
-HnswIndex::HnswIndex(Matrix data, Metric metric, const HnswOptions& options,
-                     Rng& rng)
-    : data_(std::move(data)), metric_(metric), options_(options) {
+HnswIndex::HnswIndex(Matrix data, const HnswOptions& options, Rng& rng)
+    : data_(std::move(data)), options_(options) {
   RAGO_REQUIRE(!data_.empty(), "HNSW requires a non-empty database");
   RAGO_REQUIRE(options_.max_degree >= 2, "max_degree must be at least 2");
   RAGO_REQUIRE(options_.ef_construction >= options_.max_degree,
@@ -99,8 +98,7 @@ HnswIndex::DrawLevel(Rng& rng) const {
 float
 HnswIndex::Dist(const float* query, int32_t id, int64_t& evals) const {
   ++evals;
-  return kernels::DistanceOne(metric_, query,
-                              data_.Row(static_cast<size_t>(id)),
+  return kernels::DistanceOne(query, data_.Row(static_cast<size_t>(id)),
                               data_.dim());
 }
 
@@ -118,7 +116,7 @@ HnswIndex::BatchDist(const float* query, size_t count, Scratch& scratch,
     const float* row = data_.Row(static_cast<size_t>(scratch.ids[i]));
     std::copy(row, row + dim, scratch.rows.data() + i * dim);
   }
-  kernels::DistanceBatch(metric_, query, scratch.rows.data(), count, dim,
+  kernels::DistanceBatch(query, scratch.rows.data(), count, dim,
                          scratch.dists.data());
   evals += static_cast<int64_t>(count);
 }
@@ -227,7 +225,7 @@ HnswIndex::SelectNeighbors(const std::vector<Neighbor>& found, int m) const {
     bool diverse = true;
     for (int32_t chosen : selected) {
       const float to_chosen = kernels::DistanceOne(
-          metric_, data_.Row(static_cast<size_t>(candidate.id)),
+          data_.Row(static_cast<size_t>(candidate.id)),
           data_.Row(static_cast<size_t>(chosen)), data_.dim());
       if (to_chosen < candidate.dist) {
         diverse = false;
@@ -252,20 +250,9 @@ HnswIndex::SelectNeighbors(const std::vector<Neighbor>& found, int m) const {
 }
 
 std::vector<Neighbor>
-HnswIndex::Search(const float* query, size_t k, int ef_search) const {
-  int64_t evals = 0;
-  std::vector<Neighbor> found = Search(query, k, ef_search, &evals);
-  last_distance_evals_ = evals;
-  return found;
-}
-
-std::vector<Neighbor>
 HnswIndex::Search(const float* query, size_t k, int ef_search,
                   int64_t* distance_evals) const {
   RAGO_REQUIRE(ef_search >= 1, "ef_search must be positive");
-  RAGO_REQUIRE(distance_evals != nullptr,
-               "counted Search needs an eval slot (use the 3-arg "
-               "overload to skip counting)");
   int64_t evals = 0;
   Scratch scratch;
   int32_t entry = entry_point_;
@@ -278,7 +265,9 @@ HnswIndex::Search(const float* query, size_t k, int ef_search,
   if (found.size() > k) {
     found.resize(k);
   }
-  *distance_evals += evals;
+  if (distance_evals != nullptr) {
+    *distance_evals += evals;
+  }
   return found;
 }
 
@@ -294,22 +283,9 @@ HnswIndex::GraphBytes() const {
 }
 
 std::vector<std::vector<Neighbor>>
-HnswIndex::SearchBatch(const Matrix& queries, size_t k,
-                       int ef_search) const {
-  int64_t evals = 0;
-  std::vector<std::vector<Neighbor>> out =
-      SearchBatch(queries, k, ef_search, &evals);
-  last_distance_evals_ = evals;
-  return out;
-}
-
-std::vector<std::vector<Neighbor>>
 HnswIndex::SearchBatch(const Matrix& queries, size_t k, int ef_search,
                        int64_t* distance_evals) const {
   RAGO_REQUIRE(queries.dim() == data_.dim(), "query dimensionality mismatch");
-  RAGO_REQUIRE(distance_evals != nullptr,
-               "counted SearchBatch needs an eval slot (use the 3-arg "
-               "overload to skip counting)");
   std::vector<std::vector<Neighbor>> out(queries.rows());
   for (size_t q = 0; q < queries.rows(); ++q) {
     out[q] = Search(queries.Row(q), k, ef_search, distance_evals);

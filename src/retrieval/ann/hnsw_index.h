@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "retrieval/ann/distance.h"
 #include "retrieval/ann/matrix.h"
 #include "retrieval/ann/topk.h"
 
@@ -40,43 +39,24 @@ class HnswIndex {
    * Builds the graph by inserting every row of `data` in order.
    * Deterministic given `rng`'s seed.
    */
-  HnswIndex(Matrix data, Metric metric, const HnswOptions& options,
-            Rng& rng);
+  HnswIndex(Matrix data, const HnswOptions& options, Rng& rng);
 
   /**
    * Approximate top-k with beam width `ef_search` (>= k for sensible
-   * recall). Returns ascending-distance neighbors.
-   */
-  std::vector<Neighbor> Search(const float* query, size_t k,
-                               int ef_search) const;
-
-  /**
-   * Search that adds its distance-evaluation count to
-   * `*distance_evals` instead of writing the shared mutable counter —
-   * safe to call concurrently from multiple threads (the sharded tier
-   * runs (shard x query-block) tasks against one index).
+   * recall). Returns ascending-distance neighbors. When
+   * `distance_evals` is non-null the search adds its distance
+   * computations to it; the index itself is never written, so
+   * concurrent searches are safe (the sharded tier runs
+   * (shard x query-block) tasks against one index).
    */
   std::vector<Neighbor> Search(const float* query, size_t k, int ef_search,
-                               int64_t* distance_evals) const;
+                               int64_t* distance_evals = nullptr) const;
 
-  /**
-   * Batched Search over every row of `queries`. Afterwards
-   * last_distance_evals() reports the total across the whole batch.
-   */
-  std::vector<std::vector<Neighbor>> SearchBatch(const Matrix& queries,
-                                                 size_t k,
-                                                 int ef_search) const;
-
-  /// Concurrency-safe batched search; adds the batch's distance
-  /// evaluations to `*distance_evals` (the shared counter is untouched).
+  /// Batched Search over every row of `queries`; a non-null
+  /// `distance_evals` gains the whole batch's distance computations.
   std::vector<std::vector<Neighbor>> SearchBatch(
       const Matrix& queries, size_t k, int ef_search,
-      int64_t* distance_evals) const;
-
-  /// Distance computations performed by the last counter-less Search /
-  /// SearchBatch call (racy under concurrent searches; prefer the
-  /// `distance_evals` overloads there).
-  int64_t last_distance_evals() const { return last_distance_evals_; }
+      int64_t* distance_evals = nullptr) const;
 
   /// Total link-storage bytes (the graph's memory overhead).
   int64_t GraphBytes() const;
@@ -129,13 +109,11 @@ class HnswIndex {
   int DrawLevel(Rng& rng) const;
 
   Matrix data_;
-  Metric metric_;
   HnswOptions options_;
   double level_multiplier_ = 0.0;
   std::vector<Node> nodes_;
   int32_t entry_point_ = -1;
   int max_level_ = -1;
-  mutable int64_t last_distance_evals_ = 0;
 };
 
 }  // namespace rago::ann

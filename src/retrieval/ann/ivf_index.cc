@@ -8,10 +8,8 @@
 
 namespace rago::ann {
 
-IvfIndex::IvfIndex(Matrix data, Metric metric, const IvfOptions& options,
-                   Rng& rng)
-    : metric_(metric), nlist_(options.nlist), num_rows_(data.rows()),
-      dim_(data.dim()) {
+IvfIndex::IvfIndex(Matrix data, const IvfOptions& options, Rng& rng)
+    : nlist_(options.nlist), num_rows_(data.rows()), dim_(data.dim()) {
   RAGO_REQUIRE(!data.empty(), "IVF requires a non-empty database");
   RAGO_REQUIRE(options.nlist > 0, "nlist must be positive");
   RAGO_REQUIRE(static_cast<size_t>(options.nlist) <= data.rows(),
@@ -48,9 +46,9 @@ std::vector<int32_t>
 IvfIndex::NearestClusters(const float* query, int nprobe) const {
   // Rank all centroids by distance and take the closest nprobe.
   TopK topk(static_cast<size_t>(std::min(nprobe, nlist_)));
-  kernels::ScanRowsIntoTopK(Metric::kL2, query, centroids_.data(),
-                            centroids_.rows(), centroids_.dim(),
-                            /*ids=*/nullptr, /*base_id=*/0, topk);
+  kernels::ScanRowsIntoTopK(query, centroids_.data(), centroids_.rows(),
+                            centroids_.dim(), /*ids=*/nullptr, /*base_id=*/0,
+                            topk);
   std::vector<int32_t> out;
   for (const Neighbor& nb : topk.SortedTake()) {
     out.push_back(static_cast<int32_t>(nb.id));
@@ -69,8 +67,8 @@ IvfIndex::SearchLists(const float* query, size_t k,
     if (count == 0) {
       continue;
     }
-    kernels::ScanRowsIntoTopK(metric_, query, reordered_.Row(begin), count,
-                              dim_, lists_[c].data(), /*base_id=*/0, topk);
+    kernels::ScanRowsIntoTopK(query, reordered_.Row(begin), count, dim_,
+                              lists_[c].data(), /*base_id=*/0, topk);
   }
   return topk.SortedTake();
 }

@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "retrieval/ann/distance.h"
 #include "retrieval/ann/kmeans.h"
 #include "retrieval/ann/matrix.h"
 #include "retrieval/ann/topk.h"
@@ -34,7 +33,7 @@ struct IvfOptions {
 /// Inverted-file index over an in-memory database.
 class IvfIndex {
  public:
-  IvfIndex(Matrix data, Metric metric, const IvfOptions& options, Rng& rng);
+  IvfIndex(Matrix data, const IvfOptions& options, Rng& rng);
 
   /**
    * Approximate top-k: scans the `nprobe` clusters whose centroids are
@@ -70,7 +69,6 @@ class IvfIndex {
       const float* query, size_t k,
       const std::vector<int32_t>& clusters) const;
 
-  Metric metric_;
   int nlist_ = 0;
   size_t num_rows_ = 0;
   size_t dim_ = 0;

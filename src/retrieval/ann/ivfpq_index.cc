@@ -105,9 +105,9 @@ IvfPqIndex::Search(const float* query, size_t k, int nprobe,
   RAGO_REQUIRE(nprobe > 0, "nprobe must be positive");
   // Rank coarse clusters.
   TopK cluster_rank(static_cast<size_t>(std::min(nprobe, nlist_)));
-  kernels::ScanRowsIntoTopK(Metric::kL2, query, centroids_.data(),
-                            centroids_.rows(), centroids_.dim(),
-                            /*ids=*/nullptr, /*base_id=*/0, cluster_rank);
+  kernels::ScanRowsIntoTopK(query, centroids_.data(), centroids_.rows(),
+                            centroids_.dim(), /*ids=*/nullptr, /*base_id=*/0,
+                            cluster_rank);
   std::vector<int32_t> clusters;
   for (const Neighbor& cluster : cluster_rank.SortedTake()) {
     clusters.push_back(static_cast<int32_t>(cluster.id));

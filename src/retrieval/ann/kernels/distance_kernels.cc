@@ -6,6 +6,7 @@
 #include <string>
 
 #include "common/check.h"
+#include "retrieval/ann/distance.h"
 #include "retrieval/ann/kernels/avx2_kernels.h"
 #include "retrieval/ann/kernels/avx512_kernels.h"
 
@@ -14,7 +15,7 @@ namespace {
 
 // ---------------------------------------------------------------------------
 // Scalar reference kernels. The per-row loops are bit-identical to the
-// legacy sequential L2Sq/Dot in distance.cc — the batch shape changes
+// sequential L2Sq in distance.cc — the batch shape changes
 // only where the loop lives, not the accumulation order — so forcing
 // scalar reproduces pre-kernel-layer results exactly.
 // ---------------------------------------------------------------------------
@@ -26,26 +27,10 @@ void ScalarL2Batch(const float* query, const float* rows, size_t num_rows,
   }
 }
 
-void ScalarDotBatch(const float* query, const float* rows, size_t num_rows,
-                    size_t dim, float* out) {
-  for (size_t i = 0; i < num_rows; ++i) {
-    out[i] = Dot(query, rows + i * dim, dim);
-  }
-}
-
 void ScalarL2Tile(const float* queries, size_t num_queries, const float* rows,
                   size_t num_rows, size_t dim, float* out) {
   for (size_t q = 0; q < num_queries; ++q) {
     ScalarL2Batch(queries + q * dim, rows, num_rows, dim, out + q * num_rows);
-  }
-}
-
-void ScalarDotTile(const float* queries, size_t num_queries,
-                   const float* rows, size_t num_rows, size_t dim,
-                   float* out) {
-  for (size_t q = 0; q < num_queries; ++q) {
-    ScalarDotBatch(queries + q * dim, rows, num_rows, dim,
-                   out + q * num_rows);
   }
 }
 
@@ -89,8 +74,7 @@ void ScalarAdcPacked(const float* table, const uint8_t* packed,
 }
 
 const KernelTable kScalarTable = {
-    "scalar",      ScalarL2Batch, ScalarDotBatch,  ScalarL2Tile,
-    ScalarDotTile, ScalarL2Cols,  ScalarAdcPacked,
+    "scalar", ScalarL2Batch, ScalarL2Tile, ScalarL2Cols, ScalarAdcPacked,
 };
 
 // ---------------------------------------------------------------------------
@@ -159,7 +143,7 @@ constexpr size_t kScanTile = 512;
 constexpr size_t kQueryTile = 8;
 constexpr size_t kRowTile = 1024;
 
-/// The per-thread buffer behind the scratch-less helper overloads.
+/// The per-thread distance buffer behind the scan helpers.
 std::vector<float>& TlsScratch() {
   static thread_local std::vector<float> scratch;
   return scratch;
@@ -262,65 +246,42 @@ Active() {
 }
 
 void
-DistanceBatch(Metric metric, const float* query, const float* rows,
-              size_t num_rows, size_t dim, float* out) {
-  const KernelTable& kernels = Active();
-  switch (metric) {
-    case Metric::kL2:
-      kernels.l2sq_batch(query, rows, num_rows, dim, out);
-      return;
-    case Metric::kInnerProduct:
-      kernels.dot_batch(query, rows, num_rows, dim, out);
-      for (size_t i = 0; i < num_rows; ++i) {
-        out[i] = -out[i];
-      }
-      return;
-  }
-  RAGO_CHECK(false, "unhandled Metric in DistanceBatch");
+DistanceBatch(const float* query, const float* rows, size_t num_rows,
+              size_t dim, float* out) {
+  Active().l2sq_batch(query, rows, num_rows, dim, out);
 }
 
 void
-DistanceTile(Metric metric, const float* queries, size_t num_queries,
-             const float* rows, size_t num_rows, size_t dim, float* out) {
-  const KernelTable& kernels = Active();
-  switch (metric) {
-    case Metric::kL2:
-      kernels.l2sq_tile(queries, num_queries, rows, num_rows, dim, out);
-      return;
-    case Metric::kInnerProduct:
-      kernels.dot_tile(queries, num_queries, rows, num_rows, dim, out);
-      for (size_t i = 0; i < num_queries * num_rows; ++i) {
-        out[i] = -out[i];
-      }
-      return;
-  }
-  RAGO_CHECK(false, "unhandled Metric in DistanceTile");
+DistanceTile(const float* queries, size_t num_queries, const float* rows,
+             size_t num_rows, size_t dim, float* out) {
+  Active().l2sq_tile(queries, num_queries, rows, num_rows, dim, out);
 }
 
 float
-DistanceOne(Metric metric, const float* query, const float* row,
-            size_t dim) {
+DistanceOne(const float* query, const float* row, size_t dim) {
   float out = 0.0f;
-  DistanceBatch(metric, query, row, 1, dim, &out);
+  DistanceBatch(query, row, 1, dim, &out);
   return out;
 }
 
 void
-ScanRowsIntoTopK(Metric metric, const float* query, const float* rows,
-                 size_t num_rows, size_t dim, const int64_t* ids,
-                 int64_t base_id, TopK& topk, std::vector<float>& scratch) {
+ScanRowsIntoTopK(const float* query, const float* rows, size_t num_rows,
+                 size_t dim, const int64_t* ids, int64_t base_id,
+                 TopK& topk) {
   if (num_rows == 0) {
     return;
   }
   const size_t tile = num_rows < kScanTile ? num_rows : kScanTile;
+  std::vector<float>& scratch = TlsScratch();
   if (scratch.size() < tile) {
     scratch.resize(tile);
   }
+  const KernelTable& kernels = Active();
   for (size_t start = 0; start < num_rows; start += tile) {
     const size_t count =
         num_rows - start < tile ? num_rows - start : tile;
-    DistanceBatch(metric, query, rows + start * dim, count, dim,
-                  scratch.data());
+    kernels.l2sq_batch(query, rows + start * dim, count, dim,
+                       scratch.data());
     for (size_t i = 0; i < count; ++i) {
       const size_t row = start + i;
       topk.Push(scratch[i],
@@ -333,8 +294,7 @@ ScanRowsIntoTopK(Metric metric, const float* query, const float* rows,
 void
 ScanCodesPackedIntoTopK(const float* table, const uint8_t* packed,
                         size_t num_codes, size_t m, const int64_t* ids,
-                        int64_t base_id, TopK& topk,
-                        std::vector<float>& scratch) {
+                        int64_t base_id, TopK& topk) {
   if (num_codes == 0) {
     return;
   }
@@ -343,6 +303,7 @@ ScanCodesPackedIntoTopK(const float* table, const uint8_t* packed,
   static_assert(kScanTile % kPackedBlock == 0,
                 "scan tile must cover whole packed blocks");
   const size_t tile = num_codes < kScanTile ? num_codes : kScanTile;
+  std::vector<float>& scratch = TlsScratch();
   if (scratch.size() < tile) {
     scratch.resize(tile);
   }
@@ -362,9 +323,8 @@ ScanCodesPackedIntoTopK(const float* table, const uint8_t* packed,
 }
 
 void
-ScanTileIntoTopK(Metric metric, const float* queries, size_t num_queries,
-                 const float* rows, size_t num_rows, size_t dim,
-                 int64_t base_id, TopK* topks) {
+ScanTileIntoTopK(const float* queries, size_t num_queries, const float* rows,
+                 size_t num_rows, size_t dim, int64_t base_id, TopK* topks) {
   // Rows in the outer loop: each row tile is streamed once and scored
   // against every query. TopK is order-independent, so results are
   // bit-identical to a per-query scan for any tiling. Scratch comes
@@ -374,6 +334,7 @@ ScanTileIntoTopK(Metric metric, const float* queries, size_t num_queries,
   if (dists.size() < kQueryTile * kRowTile) {
     dists.resize(kQueryTile * kRowTile);
   }
+  const KernelTable& kernels = Active();
   for (size_t row0 = 0; row0 < num_rows; row0 += kRowTile) {
     const size_t rows_here =
         num_rows - row0 < kRowTile ? num_rows - row0 : kRowTile;
@@ -381,8 +342,8 @@ ScanTileIntoTopK(Metric metric, const float* queries, size_t num_queries,
       const size_t queries_here = num_queries - query0 < kQueryTile
                                       ? num_queries - query0
                                       : kQueryTile;
-      DistanceTile(metric, queries + query0 * dim, queries_here,
-                   rows + row0 * dim, rows_here, dim, dists.data());
+      kernels.l2sq_tile(queries + query0 * dim, queries_here,
+                        rows + row0 * dim, rows_here, dim, dists.data());
       for (size_t q = 0; q < queries_here; ++q) {
         TopK& topk = topks[query0 + q];
         const float* row_dists = dists.data() + q * rows_here;
@@ -397,9 +358,10 @@ ScanTileIntoTopK(Metric metric, const float* queries, size_t num_queries,
 
 size_t
 ArgMinL2(const float* query, const float* rows, size_t num_rows, size_t dim,
-         std::vector<float>& scratch, float* min_dist) {
+         float* min_dist) {
   RAGO_CHECK(num_rows > 0, "ArgMinL2 requires at least one row");
   const size_t tile = num_rows < kScanTile ? num_rows : kScanTile;
+  std::vector<float>& scratch = TlsScratch();
   if (scratch.size() < tile) {
     scratch.resize(tile);
   }
@@ -447,28 +409,6 @@ ArgMinL2Cols(const float* query, const float* cols, size_t num_cols,
     *min_dist = scratch[best];
   }
   return best;
-}
-
-void
-ScanRowsIntoTopK(Metric metric, const float* query, const float* rows,
-                 size_t num_rows, size_t dim, const int64_t* ids,
-                 int64_t base_id, TopK& topk) {
-  ScanRowsIntoTopK(metric, query, rows, num_rows, dim, ids, base_id, topk,
-                   TlsScratch());
-}
-
-void
-ScanCodesPackedIntoTopK(const float* table, const uint8_t* packed,
-                        size_t num_codes, size_t m, const int64_t* ids,
-                        int64_t base_id, TopK& topk) {
-  ScanCodesPackedIntoTopK(table, packed, num_codes, m, ids, base_id, topk,
-                          TlsScratch());
-}
-
-size_t
-ArgMinL2(const float* query, const float* rows, size_t num_rows, size_t dim,
-         float* min_dist) {
-  return ArgMinL2(query, rows, num_rows, dim, TlsScratch(), min_dist);
 }
 
 size_t

@@ -22,23 +22,24 @@
  * This header exposes those shapes as a function-pointer kernel table
  * with three implementations: a portable scalar reference, an AVX2/FMA
  * variant, and an AVX-512F/BW variant, selected at runtime via CPUID
- * with priority scalar < avx2 < avx512. Consumers call the
- * metric-dispatching wrappers (DistanceBatch / DistanceTile /
- * ScanRowsIntoTopK / ...) and automatically run on the fastest
- * compiled-in kernels the host supports. The RAGO_KERNEL_VARIANT
+ * with priority scalar < avx2 < avx512. Every float kernel computes
+ * squared L2, the one metric the indexes rank by. Consumers call the
+ * wrappers (DistanceBatch / DistanceTile / ScanRowsIntoTopK / ...) and
+ * automatically run on the fastest compiled-in kernels the host
+ * supports. The RAGO_KERNEL_VARIANT
  * environment variable ("scalar", "avx2", or "avx512") caps the
  * dispatched tier for benchmarking a specific variant.
  *
  * Determinism contract:
  *  - Within one variant, the batch and tile kernels produce
  *    bit-identical values for the same (query, row) pair, and the
- *    scalar variant is bit-identical to the legacy sequential loops in
+ *    scalar variant is bit-identical to the sequential L2Sq loop in
  *    distance.h. TopK keeps the k smallest candidates under the total
  *    `(dist, id)` order, so a scan's top-k is order-independent: it
  *    depends only on the distances, never on the order a scan offers
  *    them in (distances finite or +inf; NaN has no place in the order).
  *  - Across variants, SIMD reassociates the per-dimension accumulation
- *    of the *float* kernels (l2sq/dot batch and tile), so those
+ *    of the row-major *float* kernels (l2sq batch and tile), so those
  *    distances may differ in the last few ulps. Exact search paths
  *    therefore return the same top-k *ids* under every variant unless
  *    two distinct rows' true distances differ by less than that
@@ -71,7 +72,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "retrieval/ann/distance.h"
 #include "retrieval/ann/topk.h"
 
 namespace rago::ann::kernels {
@@ -97,8 +97,9 @@ inline constexpr size_t kMinRowSimdDim = 8;
 inline constexpr size_t kPackedBlock = 32;
 
 /**
- * One kernel implementation set. All row pointers are float32 and may
- * be unaligned; `rows` is row-major with stride `dim`.
+ * One kernel implementation set: four slots, one per scan shape. All
+ * row pointers are float32 and may be unaligned; `rows` is row-major
+ * with stride `dim`.
  */
 struct KernelTable {
   const char* name;  ///< "scalar", "avx2", or "avx512".
@@ -107,19 +108,10 @@ struct KernelTable {
   void (*l2sq_batch)(const float* query, const float* rows, size_t num_rows,
                      size_t dim, float* out);
 
-  /// out[i] = dot product of `query` with row i.
-  void (*dot_batch)(const float* query, const float* rows, size_t num_rows,
-                    size_t dim, float* out);
-
   /// Micro-tile: out[q * num_rows + i] = L2Sq(queries row q, rows row i).
   void (*l2sq_tile)(const float* queries, size_t num_queries,
                     const float* rows, size_t num_rows, size_t dim,
                     float* out);
-
-  /// Micro-tile: out[q * num_rows + i] = Dot(queries row q, rows row i).
-  void (*dot_tile)(const float* queries, size_t num_queries,
-                   const float* rows, size_t num_rows, size_t dim,
-                   float* out);
 
   /**
    * Column-major rows: out[i] = sum over d in [0, dim) of
@@ -193,35 +185,34 @@ bool ForceScalarActive();
 const KernelTable& Active();
 
 // ---------------------------------------------------------------------------
-// Metric-dispatching conveniences over Active(). Inner-product values
-// are negated (smaller = more similar), matching Distance().
+// Conveniences over Active(). The scan helpers that need distance
+// scratch draw it from one per-thread buffer: they never nest (none
+// calls another), so a single thread-local buffer suffices and
+// per-query call sites stay allocation-free after a thread's first
+// scan.
 // ---------------------------------------------------------------------------
 
-/// Batched Distance(): one query vs `num_rows` contiguous rows.
-void DistanceBatch(Metric metric, const float* query, const float* rows,
-                   size_t num_rows, size_t dim, float* out);
+/// Batched L2Sq(): one query vs `num_rows` contiguous rows.
+void DistanceBatch(const float* query, const float* rows, size_t num_rows,
+                   size_t dim, float* out);
 
-/// Micro-tiled Distance(): `num_queries` x `num_rows` distance block.
-void DistanceTile(Metric metric, const float* queries, size_t num_queries,
+/// Micro-tiled L2Sq(): `num_queries` x `num_rows` distance block.
+void DistanceTile(const float* queries, size_t num_queries,
                   const float* rows, size_t num_rows, size_t dim, float* out);
 
-/// Single-pair Distance() through the active kernels (so forced-scalar
+/// Single-pair L2Sq() through the active kernels (so forced-scalar
 /// runs are scalar end to end, including one-off evaluations).
-float DistanceOne(Metric metric, const float* query, const float* row,
-                  size_t dim);
+float DistanceOne(const float* query, const float* row, size_t dim);
 
 /**
  * Scans `num_rows` contiguous rows and offers every distance to
  * `topk`, whose result is order-independent under the total
  * `(dist, id)` order.
  * Candidate ids are `ids[i]` when `ids` is non-null, else `base_id + i`.
- * Tiles internally; `scratch` is grown as needed and reusable across
- * calls.
  */
-void ScanRowsIntoTopK(Metric metric, const float* query, const float* rows,
-                      size_t num_rows, size_t dim, const int64_t* ids,
-                      int64_t base_id, TopK& topk,
-                      std::vector<float>& scratch);
+void ScanRowsIntoTopK(const float* query, const float* rows, size_t num_rows,
+                      size_t dim, const int64_t* ids, int64_t base_id,
+                      TopK& topk);
 
 /**
  * ADC-scans `num_codes` codes stored in the packed (blocked
@@ -235,8 +226,7 @@ void ScanRowsIntoTopK(Metric metric, const float* query, const float* rows,
  */
 void ScanCodesPackedIntoTopK(const float* table, const uint8_t* packed,
                              size_t num_codes, size_t m, const int64_t* ids,
-                             int64_t base_id, TopK& topk,
-                             std::vector<float>& scratch);
+                             int64_t base_id, TopK& topk);
 
 /**
  * Micro-tiled multi-query scan: streams `num_rows` contiguous rows
@@ -248,10 +238,9 @@ void ScanCodesPackedIntoTopK(const float* table, const uint8_t* packed,
  * `topks` must hold `num_queries` accumulators. The shared core of
  * FlatIndex::SearchBatch and the IVF coarse-centroid block ranking.
  */
-void ScanTileIntoTopK(Metric metric, const float* queries,
-                      size_t num_queries, const float* rows,
-                      size_t num_rows, size_t dim, int64_t base_id,
-                      TopK* topks);
+void ScanTileIntoTopK(const float* queries, size_t num_queries,
+                      const float* rows, size_t num_rows, size_t dim,
+                      int64_t base_id, TopK* topks);
 
 /**
  * Index of the row nearest to `query` by squared L2 (first index wins
@@ -260,36 +249,17 @@ void ScanTileIntoTopK(Metric metric, const float* queries,
  * `num_rows` must be positive.
  */
 size_t ArgMinL2(const float* query, const float* rows, size_t num_rows,
-                size_t dim, std::vector<float>& scratch,
-                float* min_dist = nullptr);
+                size_t dim, float* min_dist = nullptr);
 
 /**
  * ArgMinL2 over `num_cols` column-major rows (the l2sq_cols layout),
  * with the same first-index-wins tie-break. `num_cols` must be
- * positive.
+ * positive. The `scratch` overload serves a caller that owns its
+ * distance buffer (k-means); the other uses the per-thread buffer.
  */
 size_t ArgMinL2Cols(const float* query, const float* cols, size_t num_cols,
                     size_t dim, std::vector<float>& scratch,
                     float* min_dist = nullptr);
-
-// ---------------------------------------------------------------------------
-// Overloads backed by one per-thread reusable scratch buffer. The scan
-// helpers never nest (none calls another), so a single thread-local
-// buffer suffices and per-query call sites stay allocation-free after
-// a thread's first scan. Prefer the explicit-scratch overloads only
-// when a caller already owns a buffer (e.g. HnswIndex::Scratch).
-// ---------------------------------------------------------------------------
-
-void ScanRowsIntoTopK(Metric metric, const float* query, const float* rows,
-                      size_t num_rows, size_t dim, const int64_t* ids,
-                      int64_t base_id, TopK& topk);
-
-void ScanCodesPackedIntoTopK(const float* table, const uint8_t* packed,
-                             size_t num_codes, size_t m, const int64_t* ids,
-                             int64_t base_id, TopK& topk);
-
-size_t ArgMinL2(const float* query, const float* rows, size_t num_rows,
-                size_t dim, float* min_dist = nullptr);
 
 size_t ArgMinL2Cols(const float* query, const float* cols, size_t num_cols,
                     size_t dim, float* min_dist = nullptr);

@@ -61,20 +61,6 @@ inline float L2Row(const float* query, const float* row, size_t dim) {
   return sum;
 }
 
-inline float DotRow(const float* query, const float* row, size_t dim) {
-  __m256 acc = _mm256_setzero_ps();
-  size_t d = 0;
-  for (; d + 8 <= dim; d += 8) {
-    acc = _mm256_fmadd_ps(_mm256_loadu_ps(query + d),
-                          _mm256_loadu_ps(row + d), acc);
-  }
-  float sum = HorizontalSum(acc);
-  for (; d < dim; ++d) {
-    sum += query[d] * row[d];
-  }
-  return sum;
-}
-
 void Avx2L2Batch(const float* query, const float* rows, size_t num_rows,
                  size_t dim, float* out) {
   size_t i = 0;
@@ -123,47 +109,6 @@ void Avx2L2Batch(const float* query, const float* rows, size_t num_rows,
   }
   for (; i < num_rows; ++i) {
     out[i] = L2Row(query, rows + i * dim, dim);
-  }
-}
-
-void Avx2DotBatch(const float* query, const float* rows, size_t num_rows,
-                  size_t dim, float* out) {
-  size_t i = 0;
-  for (; i + 4 <= num_rows; i += 4) {
-    const float* r0 = rows + (i + 0) * dim;
-    const float* r1 = rows + (i + 1) * dim;
-    const float* r2 = rows + (i + 2) * dim;
-    const float* r3 = rows + (i + 3) * dim;
-    __m256 a0 = _mm256_setzero_ps();
-    __m256 a1 = _mm256_setzero_ps();
-    __m256 a2 = _mm256_setzero_ps();
-    __m256 a3 = _mm256_setzero_ps();
-    size_t d = 0;
-    for (; d + 8 <= dim; d += 8) {
-      const __m256 q = _mm256_loadu_ps(query + d);
-      a0 = _mm256_fmadd_ps(q, _mm256_loadu_ps(r0 + d), a0);
-      a1 = _mm256_fmadd_ps(q, _mm256_loadu_ps(r1 + d), a1);
-      a2 = _mm256_fmadd_ps(q, _mm256_loadu_ps(r2 + d), a2);
-      a3 = _mm256_fmadd_ps(q, _mm256_loadu_ps(r3 + d), a3);
-    }
-    float s0 = HorizontalSum(a0);
-    float s1 = HorizontalSum(a1);
-    float s2 = HorizontalSum(a2);
-    float s3 = HorizontalSum(a3);
-    for (; d < dim; ++d) {
-      const float q = query[d];
-      s0 += q * r0[d];
-      s1 += q * r1[d];
-      s2 += q * r2[d];
-      s3 += q * r3[d];
-    }
-    out[i + 0] = s0;
-    out[i + 1] = s1;
-    out[i + 2] = s2;
-    out[i + 3] = s3;
-  }
-  for (; i < num_rows; ++i) {
-    out[i] = DotRow(query, rows + i * dim, dim);
   }
 }
 
@@ -219,50 +164,6 @@ void Avx2L2Tile(const float* queries, size_t num_queries, const float* rows,
   }
   for (; q < num_queries; ++q) {
     Avx2L2Batch(queries + q * dim, rows, num_rows, dim, out + q * num_rows);
-  }
-}
-
-void Avx2DotTile(const float* queries, size_t num_queries, const float* rows,
-                 size_t num_rows, size_t dim, float* out) {
-  size_t q = 0;
-  for (; q + 4 <= num_queries; q += 4) {
-    const float* q0 = queries + (q + 0) * dim;
-    const float* q1 = queries + (q + 1) * dim;
-    const float* q2 = queries + (q + 2) * dim;
-    const float* q3 = queries + (q + 3) * dim;
-    for (size_t i = 0; i < num_rows; ++i) {
-      const float* row = rows + i * dim;
-      __m256 a0 = _mm256_setzero_ps();
-      __m256 a1 = _mm256_setzero_ps();
-      __m256 a2 = _mm256_setzero_ps();
-      __m256 a3 = _mm256_setzero_ps();
-      size_t d = 0;
-      for (; d + 8 <= dim; d += 8) {
-        const __m256 r = _mm256_loadu_ps(row + d);
-        a0 = _mm256_fmadd_ps(_mm256_loadu_ps(q0 + d), r, a0);
-        a1 = _mm256_fmadd_ps(_mm256_loadu_ps(q1 + d), r, a1);
-        a2 = _mm256_fmadd_ps(_mm256_loadu_ps(q2 + d), r, a2);
-        a3 = _mm256_fmadd_ps(_mm256_loadu_ps(q3 + d), r, a3);
-      }
-      float s0 = HorizontalSum(a0);
-      float s1 = HorizontalSum(a1);
-      float s2 = HorizontalSum(a2);
-      float s3 = HorizontalSum(a3);
-      for (; d < dim; ++d) {
-        const float r = row[d];
-        s0 += q0[d] * r;
-        s1 += q1[d] * r;
-        s2 += q2[d] * r;
-        s3 += q3[d] * r;
-      }
-      out[(q + 0) * num_rows + i] = s0;
-      out[(q + 1) * num_rows + i] = s1;
-      out[(q + 2) * num_rows + i] = s2;
-      out[(q + 3) * num_rows + i] = s3;
-    }
-  }
-  for (; q < num_queries; ++q) {
-    Avx2DotBatch(queries + q * dim, rows, num_rows, dim, out + q * num_rows);
   }
 }
 
@@ -358,8 +259,7 @@ void Avx2AdcPacked(const float* table, const uint8_t* packed,
 }
 
 const KernelTable kAvx2Table = {
-    "avx2",      Avx2L2Batch, Avx2DotBatch,  Avx2L2Tile,
-    Avx2DotTile, Avx2L2Cols,  Avx2AdcPacked,
+    "avx2", Avx2L2Batch, Avx2L2Tile, Avx2L2Cols, Avx2AdcPacked,
 };
 
 }  // namespace

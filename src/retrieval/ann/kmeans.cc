@@ -56,8 +56,7 @@ Matrix SeedPlusPlus(const Matrix& data, int k, Rng& rng) {
     if (column_major) {
       active.l2sq_cols(last, data_cols.data(), n, dim, dist.data());
     } else {
-      kernels::DistanceBatch(Metric::kL2, last, data.data(), n, dim,
-                             dist.data());
+      kernels::DistanceBatch(last, data.data(), n, dim, dist.data());
     }
     double total = 0.0;
     for (size_t i = 0; i < n; ++i) {
@@ -154,9 +153,8 @@ TrainKMeans(const Matrix& data, int k, Rng& rng, const KMeansOptions& options) {
       for (size_t start = 0; start < n; start += kAssignTile) {
         const size_t count =
             n - start < kAssignTile ? n - start : kAssignTile;
-        kernels::DistanceTile(Metric::kL2, data.Row(start), count,
-                              result.centroids.data(), num_centroids, dim,
-                              tile_dists.data());
+        kernels::DistanceTile(data.Row(start), count, result.centroids.data(),
+                              num_centroids, dim, tile_dists.data());
         for (size_t j = 0; j < count; ++j) {
           const float* dists = tile_dists.data() + j * num_centroids;
           size_t c = 0;

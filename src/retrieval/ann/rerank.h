@@ -32,8 +32,8 @@ inline std::vector<Neighbor> RerankExactL2(
     gathered.CopyRowFrom(raw, static_cast<size_t>(shortlist[i].id), i);
   }
   std::vector<float> dists(shortlist.size());
-  kernels::DistanceBatch(Metric::kL2, query, gathered.data(),
-                         shortlist.size(), raw.dim(), dists.data());
+  kernels::DistanceBatch(query, gathered.data(), shortlist.size(), raw.dim(),
+                         dists.data());
   TopK exact(k);
   for (size_t i = 0; i < shortlist.size(); ++i) {
     exact.Push(dists[i], shortlist[i].id);

@@ -99,7 +99,7 @@ ScannTree::Search(const float* query, size_t k, int beam, int rerank) const {
     std::vector<const Node*> child_nodes;
     for (const Node* node : frontier) {
       kernels::ScanRowsIntoTopK(
-          Metric::kL2, query, node->centroids.data(), node->centroids.rows(),
+          query, node->centroids.data(), node->centroids.rows(),
           node->centroids.dim(), /*ids=*/nullptr,
           /*base_id=*/static_cast<int64_t>(child_nodes.size()), best);
       for (const auto& child : node->children) {

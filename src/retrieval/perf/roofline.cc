@@ -37,12 +37,9 @@ std::vector<float> RandomFloats(size_t count, uint64_t seed) {
   return data;
 }
 
-/// FLOPs per (query, row, dimension) element of a distance scan:
-/// L2 is subtract + fused multiply-add (3), IP one fused multiply-add
-/// (2; the negation is amortized per row, not per element).
-double FlopsPerElement(ann::Metric metric) {
-  return metric == ann::Metric::kL2 ? 3.0 : 2.0;
-}
+/// FLOPs per (query, row, dimension) element of a squared-L2 scan:
+/// subtract + fused multiply-add.
+constexpr double kL2FlopsPerElement = 3.0;
 
 }  // namespace
 
@@ -121,21 +118,19 @@ CalibrateMachinePeaks(const ProbeOptions& options) {
 }
 
 KernelWork
-AccountBatchScan(ann::Metric metric, size_t num_rows, size_t dim) {
+AccountBatchScan(size_t num_rows, size_t dim) {
   RAGO_REQUIRE(num_rows > 0 && dim > 0, "scan shape must be positive");
   KernelWork work;
   // The query stays register/cache-resident; the row block streams
   // once; one float distance is written per row.
   work.bytes = static_cast<double>(num_rows) * dim * sizeof(float) +
                static_cast<double>(num_rows) * sizeof(float);
-  work.flops =
-      static_cast<double>(num_rows) * dim * FlopsPerElement(metric);
+  work.flops = static_cast<double>(num_rows) * dim * kL2FlopsPerElement;
   return work;
 }
 
 KernelWork
-AccountTileScan(ann::Metric metric, size_t num_queries, size_t num_rows,
-                size_t dim) {
+AccountTileScan(size_t num_queries, size_t num_rows, size_t dim) {
   RAGO_REQUIRE(num_queries > 0 && num_rows > 0 && dim > 0,
                "tile shape must be positive");
   KernelWork work;
@@ -145,7 +140,7 @@ AccountTileScan(ann::Metric metric, size_t num_queries, size_t num_rows,
                static_cast<double>(num_queries) * dim * sizeof(float) +
                static_cast<double>(num_queries) * num_rows * sizeof(float);
   work.flops = static_cast<double>(num_queries) * num_rows * dim *
-               FlopsPerElement(metric);
+               kL2FlopsPerElement;
   return work;
 }
 
@@ -245,30 +240,10 @@ KernelProfiler::ProfileL2Batch() const {
       RandomFloats(dim, Rng::DeriveSeed(options_.seed, 2));
   std::vector<float> out(rows);
   auto point = MakePoint(
-      "l2sq_batch", peaks_, AccountBatchScan(ann::Metric::kL2, rows, dim),
+      "l2sq_batch", peaks_, AccountBatchScan(rows, dim),
       options_.repetitions, [&]() {
         ann::kernels::Active().l2sq_batch(query.data(), row_data.data(),
                                           rows, dim, out.data());
-        Consume(out[rows / 2]);
-      });
-  return point;
-}
-
-KernelRooflinePoint
-KernelProfiler::ProfileIpBatch() const {
-  const size_t rows = options_.num_rows;
-  const size_t dim = options_.dim;
-  const std::vector<float> row_data =
-      RandomFloats(rows * dim, Rng::DeriveSeed(options_.seed, 3));
-  const std::vector<float> query =
-      RandomFloats(dim, Rng::DeriveSeed(options_.seed, 4));
-  std::vector<float> out(rows);
-  auto point = MakePoint(
-      "dot_batch", peaks_,
-      AccountBatchScan(ann::Metric::kInnerProduct, rows, dim),
-      options_.repetitions, [&]() {
-        ann::kernels::Active().dot_batch(query.data(), row_data.data(),
-                                         rows, dim, out.data());
         Consume(out[rows / 2]);
       });
   return point;
@@ -285,8 +260,7 @@ KernelProfiler::ProfileL2Tile() const {
       RandomFloats(queries * dim, Rng::DeriveSeed(options_.seed, 6));
   std::vector<float> out(queries * rows);
   auto point = MakePoint(
-      "l2sq_tile", peaks_,
-      AccountTileScan(ann::Metric::kL2, queries, rows, dim),
+      "l2sq_tile", peaks_, AccountTileScan(queries, rows, dim),
       options_.repetitions, [&]() {
         ann::kernels::Active().l2sq_tile(query_data.data(), queries,
                                          row_data.data(), rows, dim,

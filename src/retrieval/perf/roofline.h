@@ -13,8 +13,8 @@
  *     model and their ridge intensity (flops/byte where the roofs
  *     cross).
  *  2. **Kernel accounting** — closed-form bytes-moved and FLOPs for
- *     every scan shape the ANN backends use (L2/IP batch scans, the
- *     Q-row micro-tile, the PQ ADC table build, the PQ ADC pass). Pure
+ *     every scan shape the ANN backends use (the L2 batch scan, the
+ *     Q-row L2 micro-tile, the PQ ADC table build, the PQ ADC pass). Pure
  *     arithmetic: machine-invariant and unit-testable.
  *  3. **Kernel profiling** — times the *active* kernel table over
  *     synthetic data and combines measurement with accounting into a
@@ -38,8 +38,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-
-#include "retrieval/ann/distance.h"
 
 namespace rago::retrieval {
 
@@ -83,15 +81,14 @@ struct KernelWork {
   double Intensity() const { return flops / bytes; }
 };
 
-/// One query against `num_rows` contiguous float32 rows.
-KernelWork AccountBatchScan(ann::Metric metric, size_t num_rows, size_t dim);
+/// One query against `num_rows` contiguous float32 rows (squared L2).
+KernelWork AccountBatchScan(size_t num_rows, size_t dim);
 
 /// Micro-tile: `num_queries` x `num_rows` distance block. The row
 /// stream is amortized over all queries — intensity grows linearly
 /// with the tile height, which is what pushes the tile kernel across
 /// the ridge into compute-bound territory.
-KernelWork AccountTileScan(ann::Metric metric, size_t num_queries,
-                           size_t num_rows, size_t dim);
+KernelWork AccountTileScan(size_t num_queries, size_t num_rows, size_t dim);
 
 /// ADC table build: `num_queries` queries, each against m transposed
 /// sub_dim x 256 codebooks (the l2sq_cols shape). The codebooks are
@@ -145,7 +142,6 @@ class KernelProfiler {
   KernelProfiler(MachinePeaks peaks, KernelProfileOptions options = {});
 
   KernelRooflinePoint ProfileL2Batch() const;
-  KernelRooflinePoint ProfileIpBatch() const;
   KernelRooflinePoint ProfileL2Tile() const;
   /// ADC table build in the serving benchmark's IVF-PQ shape (m 8 x
   /// 256 centroids x sub_dim 4), for num_rows / 256 queries (at least

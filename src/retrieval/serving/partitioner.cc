@@ -6,7 +6,6 @@
 #include "common/check.h"
 #include "common/math_util.h"
 #include "common/rng.h"
-#include "retrieval/ann/distance.h"
 #include "retrieval/ann/kernels/distance_kernels.h"
 #include "retrieval/ann/kmeans.h"
 
@@ -67,8 +66,7 @@ Partition KMeansBalanced(const ann::Matrix& data, int num_shards,
   for (size_t i = 0; i < data.rows(); ++i) {
     // The shard centroids are one contiguous block: rank them with a
     // single batched scan per row.
-    ann::kernels::DistanceBatch(ann::Metric::kL2, data.Row(i),
-                                trained.centroids.data(),
+    ann::kernels::DistanceBatch(data.Row(i), trained.centroids.data(),
                                 static_cast<size_t>(num_shards), data.dim(),
                                 dist.data());
     std::iota(order.begin(), order.end(), 0);

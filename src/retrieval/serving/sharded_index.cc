@@ -41,8 +41,7 @@ class ShardEngine {
 
 class FlatEngine : public ShardEngine {
  public:
-  FlatEngine(ann::Matrix data, ann::Metric metric)
-      : index_(std::move(data), metric) {}
+  explicit FlatEngine(ann::Matrix data) : index_(std::move(data)) {}
 
   std::vector<std::vector<ann::Neighbor>> SearchBatch(
       const ann::Matrix& queries, size_t k, double* scan_bytes) const
@@ -63,13 +62,11 @@ class FlatEngine : public ShardEngine {
 
 class IvfEngine : public ShardEngine {
  public:
-  IvfEngine(ann::Matrix data, ann::Metric metric, ann::IvfOptions options,
-            int nprobe, Rng& rng)
+  IvfEngine(ann::Matrix data, ann::IvfOptions options, int nprobe, Rng& rng)
       : nprobe_(nprobe), dim_(data.dim()) {
     options.nlist = std::max(
         1, std::min(options.nlist, static_cast<int>(data.rows())));
-    index_ = std::make_unique<ann::IvfIndex>(std::move(data), metric,
-                                             options, rng);
+    index_ = std::make_unique<ann::IvfIndex>(std::move(data), options, rng);
   }
 
   std::vector<std::vector<ann::Neighbor>> SearchBatch(
@@ -121,17 +118,17 @@ class IvfPqEngine : public ShardEngine {
 
 class HnswEngine : public ShardEngine {
  public:
-  HnswEngine(ann::Matrix data, ann::Metric metric,
-             const ann::HnswOptions& options, int ef_search, Rng& rng)
+  HnswEngine(ann::Matrix data, const ann::HnswOptions& options,
+             int ef_search, Rng& rng)
       : ef_search_(ef_search), dim_(data.dim()),
-        index_(std::move(data), metric, options, rng) {}
+        index_(std::move(data), options, rng) {}
 
   std::vector<std::vector<ann::Neighbor>> SearchBatch(
       const ann::Matrix& queries, size_t k, double* scan_bytes) const
       override {
-    // The counted overload keeps the eval tally in a caller-owned
-    // slot, so the (shard x query-block) tasks of one batch search
-    // this shard concurrently; only the stats fold below serializes.
+    // The eval tally goes to a caller-owned slot, so the
+    // (shard x query-block) tasks of one batch search this shard
+    // concurrently; only the stats fold below serializes.
     int64_t evals = 0;
     auto results = index_.SearchBatch(queries, k, ef_search_, &evals);
     // Graph search has no closed-form scan estimate; charge the
@@ -195,18 +192,17 @@ std::unique_ptr<ShardEngine> BuildEngine(ann::Matrix data,
                                          Rng& rng) {
   switch (options.backend) {
     case ShardBackend::kFlat:
-      return std::make_unique<FlatEngine>(std::move(data), options.metric);
+      return std::make_unique<FlatEngine>(std::move(data));
     case ShardBackend::kIvf:
-      return std::make_unique<IvfEngine>(std::move(data), options.metric,
-                                         options.ivf, options.nprobe, rng);
+      return std::make_unique<IvfEngine>(std::move(data), options.ivf,
+                                         options.nprobe, rng);
     case ShardBackend::kIvfPq:
       return std::make_unique<IvfPqEngine>(std::move(data), options.ivfpq,
                                            options.nprobe, options.rerank,
                                            rng);
     case ShardBackend::kHnsw:
-      return std::make_unique<HnswEngine>(std::move(data), options.metric,
-                                          options.hnsw, options.ef_search,
-                                          rng);
+      return std::make_unique<HnswEngine>(std::move(data), options.hnsw,
+                                          options.ef_search, rng);
     case ShardBackend::kScannTree:
       return std::make_unique<ScannTreeEngine>(std::move(data), options.tree,
                                                options.beam, options.rerank,

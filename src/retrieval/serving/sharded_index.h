@@ -29,7 +29,6 @@
 
 #include "common/thread_pool.h"
 #include "hardware/cpu_server.h"
-#include "retrieval/ann/distance.h"
 #include "retrieval/ann/hnsw_index.h"
 #include "retrieval/ann/ivf_index.h"
 #include "retrieval/ann/ivfpq_index.h"
@@ -57,7 +56,6 @@ struct ShardedIndexOptions {
   int num_shards = 4;
   PartitionerKind partitioner = PartitionerKind::kRoundRobin;
   ShardBackend backend = ShardBackend::kFlat;
-  ann::Metric metric = ann::Metric::kL2;
   /// Base seed; per-shard build streams derive deterministically.
   uint64_t seed = 0x5ca77e2;
 

@@ -52,23 +52,14 @@ void CheckVariantAgreement() {
     const std::vector<float> data = RandomBlock(rng, rows * dim);
     std::vector<float> scalar_l2(rows);
     std::vector<float> active_l2(rows);
-    std::vector<float> scalar_dot(rows);
-    std::vector<float> active_dot(rows);
     kernels::ScalarKernels().l2sq_batch(query.data(), data.data(), rows, dim,
                                         scalar_l2.data());
     kernels::Active().l2sq_batch(query.data(), data.data(), rows, dim,
                                  active_l2.data());
-    kernels::ScalarKernels().dot_batch(query.data(), data.data(), rows, dim,
-                                       scalar_dot.data());
-    kernels::Active().dot_batch(query.data(), data.data(), rows, dim,
-                                active_dot.data());
     for (size_t i = 0; i < rows; ++i) {
       const float l2_scale = std::fmax(std::fabs(scalar_l2[i]), 1.0f);
-      const float dot_scale = std::fmax(std::fabs(scalar_dot[i]), 1.0f);
       Check(std::fabs(scalar_l2[i] - active_l2[i]) <= 1e-5f * l2_scale,
             "l2sq_batch scalar/active agreement");
-      Check(std::fabs(scalar_dot[i] - active_dot[i]) <= 1e-5f * dot_scale,
-            "dot_batch scalar/active agreement");
     }
     // Tile must be bit-identical to batch within the active variant.
     const size_t queries = 5;

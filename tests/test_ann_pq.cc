@@ -74,13 +74,14 @@ TEST(Pq, EncodeDecodeReconstructsApproximately) {
   const ProductQuantizer pq(data, 8, rng);
   std::vector<uint8_t> code(pq.CodeBytes());
   std::vector<float> decoded(data.dim());
+  const std::vector<float> zero(data.dim(), 0.0f);
   double total_err = 0.0;
   double total_norm = 0.0;
   for (size_t i = 0; i < 64; ++i) {
     pq.Encode(data.Row(i), code.data());
     pq.Decode(code.data(), decoded.data());
     total_err += L2Sq(data.Row(i), decoded.data(), data.dim());
-    total_norm += Dot(data.Row(i), data.Row(i), data.dim());
+    total_norm += L2Sq(data.Row(i), zero.data(), data.dim());
   }
   // Relative reconstruction error small on clustered data.
   EXPECT_LT(total_err / total_norm, 0.05);

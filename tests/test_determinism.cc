@@ -272,8 +272,7 @@ TEST(Determinism, AnnBuildAndSearchReproduceFromSeed) {
     ann::IvfOptions options;
     options.nlist = 8;
     Rng build_rng(rago::testing::kDefaultSeed + 1);
-    const ann::IvfIndex index(CopyMatrix(data), ann::Metric::kL2, options,
-                              build_rng);
+    const ann::IvfIndex index(CopyMatrix(data), options, build_rng);
     std::vector<std::vector<ann::Neighbor>> results;
     for (size_t q = 0; q < queries.rows(); ++q) {
       results.push_back(index.Search(queries.Row(q), 5, /*nprobe=*/2));

@@ -1,7 +1,8 @@
 /**
  * @file test_distance.cc
- * Tests for the distance kernels: L2/IP correctness, metric dispatch,
- * L2-vs-IP rank equivalence on unit vectors, and degenerate inputs.
+ * Tests for the scalar L2 reference: correctness, the dispatched
+ * single-pair wrapper, the unit-sphere identity against an
+ * independently computed inner product, and degenerate inputs.
  */
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 
 #include "common/rng.h"
 #include "retrieval/ann/distance.h"
+#include "retrieval/ann/kernels/distance_kernels.h"
 #include "tests/testing/test_support.h"
 
 namespace rago::ann {
@@ -26,17 +28,9 @@ TEST(Distance, L2SqMatchesManualExpansion) {
   EXPECT_FLOAT_EQ(L2Sq(a, b, 3), L2Sq(b, a, 3));  // Symmetric.
 }
 
-TEST(Distance, DotMatchesManualExpansion) {
-  const float a[3] = {1.0f, 2.0f, 3.0f};
-  const float b[3] = {4.0f, 6.0f, 3.0f};
-  EXPECT_FLOAT_EQ(Dot(a, b, 3), 4.0f + 12.0f + 9.0f);
-  EXPECT_FLOAT_EQ(Dot(a, b, 3), Dot(b, a, 3));
-}
-
 TEST(Distance, ZeroDimIsDegenerateButDefined) {
   const float a[1] = {1.0f};
   EXPECT_FLOAT_EQ(L2Sq(a, a, 0), 0.0f);
-  EXPECT_FLOAT_EQ(Dot(a, a, 0), 0.0f);
 }
 
 using DistanceSeeded = rago::testing::SeededTest;
@@ -49,20 +43,22 @@ TEST_F(DistanceSeeded, DispatchMatchesKernels) {
     a[i] = static_cast<float>(rng.NextGaussian());
     b[i] = static_cast<float>(rng.NextGaussian());
   }
-  EXPECT_FLOAT_EQ(Distance(Metric::kL2, a.data(), b.data(), a.size()),
-                  L2Sq(a.data(), b.data(), a.size()));
-  // Inner product is negated so smaller still means more similar.
-  EXPECT_FLOAT_EQ(
-      Distance(Metric::kInnerProduct, a.data(), b.data(), a.size()),
-      -Dot(a.data(), b.data(), a.size()));
+  // The single-pair wrapper runs the active kernels; forced scalar it
+  // is the reference loop bit for bit.
+  const bool was_forced = kernels::ForceScalarActive();
+  kernels::SetForceScalar(true);
+  EXPECT_EQ(kernels::DistanceOne(a.data(), b.data(), a.size()),
+            L2Sq(a.data(), b.data(), a.size()));
+  kernels::SetForceScalar(was_forced);
 }
 
-TEST(Distance, InnerProductDistanceSmallerForMoreAlignedVectors) {
-  const float q[2] = {1.0f, 0.0f};
-  const float aligned[2] = {5.0f, 0.0f};
-  const float orthogonal[2] = {0.0f, 5.0f};
-  EXPECT_LT(Distance(Metric::kInnerProduct, q, aligned, 2),
-            Distance(Metric::kInnerProduct, q, orthogonal, 2));
+/// Inner product in double precision, independent of the library.
+double Dot(const std::vector<float>& a, const std::vector<float>& b) {
+  double sum = 0.0;
+  for (size_t i = 0; i < a.size(); ++i) {
+    sum += static_cast<double>(a[i]) * b[i];
+  }
+  return sum;
 }
 
 /// Normalizes `v` to unit L2 norm (skips near-zero vectors).
@@ -83,7 +79,7 @@ bool Normalize(std::vector<float>& v) {
 
 TEST(Distance, L2AndIpAgreeOnUnitVectors) {
   // On the unit sphere, ||a-b||^2 = 2 - 2<a,b>, so ranking by squared
-  // L2 distance must equal ranking by negated inner product.
+  // L2 distance must equal ranking by descending inner product.
   Rng rng(7);
   constexpr size_t kDim = 12;
   constexpr size_t kNumVectors = 64;
@@ -105,10 +101,8 @@ TEST(Distance, L2AndIpAgreeOnUnitVectors) {
 
   // Pointwise identity.
   for (const auto& p : points) {
-    const float l2 = Distance(Metric::kL2, query.data(), p.data(), kDim);
-    const float ip =
-        Distance(Metric::kInnerProduct, query.data(), p.data(), kDim);
-    EXPECT_NEAR(l2, 2.0f + 2.0f * ip, 1e-4f);
+    const float l2 = L2Sq(query.data(), p.data(), kDim);
+    EXPECT_NEAR(l2, 2.0 - 2.0 * Dot(query, p), 1e-4);
   }
 
   // Rank identity.
@@ -116,20 +110,16 @@ TEST(Distance, L2AndIpAgreeOnUnitVectors) {
   std::vector<size_t> by_ip(points.size());
   std::iota(by_l2.begin(), by_l2.end(), 0);
   std::iota(by_ip.begin(), by_ip.end(), 0);
-  auto rank_by = [&](Metric metric) {
-    return [&, metric](size_t i, size_t j) {
-      const float di =
-          Distance(metric, query.data(), points[i].data(), kDim);
-      const float dj =
-          Distance(metric, query.data(), points[j].data(), kDim);
-      if (di != dj) {
-        return di < dj;
-      }
-      return i < j;
-    };
-  };
-  std::sort(by_l2.begin(), by_l2.end(), rank_by(Metric::kL2));
-  std::sort(by_ip.begin(), by_ip.end(), rank_by(Metric::kInnerProduct));
+  std::sort(by_l2.begin(), by_l2.end(), [&](size_t i, size_t j) {
+    const float di = L2Sq(query.data(), points[i].data(), kDim);
+    const float dj = L2Sq(query.data(), points[j].data(), kDim);
+    return di != dj ? di < dj : i < j;
+  });
+  std::sort(by_ip.begin(), by_ip.end(), [&](size_t i, size_t j) {
+    const double di = Dot(query, points[i]);
+    const double dj = Dot(query, points[j]);
+    return di != dj ? di > dj : i < j;
+  });
   // Floating-point rounding can swap near-equal mid-ranks; the head of
   // the ranking (what retrieval consumes) must agree exactly.
   for (size_t i = 0; i < 10; ++i) {
@@ -141,9 +131,7 @@ TEST(Distance, DuplicateVectorsShareDistances) {
   const float a[4] = {0.5f, -1.5f, 2.0f, 0.0f};
   const float b[4] = {0.5f, -1.5f, 2.0f, 0.0f};
   const float q[4] = {1.0f, 1.0f, 1.0f, 1.0f};
-  EXPECT_EQ(Distance(Metric::kL2, q, a, 4), Distance(Metric::kL2, q, b, 4));
-  EXPECT_EQ(Distance(Metric::kInnerProduct, q, a, 4),
-            Distance(Metric::kInnerProduct, q, b, 4));
+  EXPECT_EQ(L2Sq(q, a, 4), L2Sq(q, b, 4));
 }
 
 }  // namespace

@@ -129,15 +129,10 @@ TEST(DistanceKernels, ScalarBatchBitIdenticalToLegacyLoops) {
     const std::vector<float> query = RandomBlock(rng, dim);
     const std::vector<float> data = RandomBlock(rng, rows * dim);
     std::vector<float> l2(rows);
-    std::vector<float> dot(rows);
     ScalarKernels().l2sq_batch(query.data(), data.data(), rows, dim,
                                l2.data());
-    ScalarKernels().dot_batch(query.data(), data.data(), rows, dim,
-                              dot.data());
     for (size_t i = 0; i < rows; ++i) {
       EXPECT_EQ(l2[i], L2Sq(query.data(), data.data() + i * dim, dim))
-          << "dim " << dim << " row " << i;
-      EXPECT_EQ(dot[i], Dot(query.data(), data.data() + i * dim, dim))
           << "dim " << dim << " row " << i;
     }
   }
@@ -189,16 +184,6 @@ TEST(DistanceKernels, TileBitIdenticalToBatchInEveryVariant) {
       for (size_t q = 0; q < queries; ++q) {
         Active().l2sq_batch(query_block.data() + q * dim, data.data(), rows,
                             dim, batched.data());
-        for (size_t i = 0; i < rows; ++i) {
-          EXPECT_EQ(tiled[q * rows + i], batched[i])
-              << (force_scalar ? "scalar" : "dispatched") << " dim " << dim;
-        }
-      }
-      Active().dot_tile(query_block.data(), queries, data.data(), rows, dim,
-                        tiled.data());
-      for (size_t q = 0; q < queries; ++q) {
-        Active().dot_batch(query_block.data() + q * dim, data.data(), rows,
-                           dim, batched.data());
         for (size_t i = 0; i < rows; ++i) {
           EXPECT_EQ(tiled[q * rows + i], batched[i])
               << (force_scalar ? "scalar" : "dispatched") << " dim " << dim;
@@ -425,10 +410,8 @@ TEST(DistanceKernels, ScanCodesPackedIntoTopKMatchesStridedScan) {
   for (bool force_scalar : {true, false}) {
     ForceScalarGuard guard(force_scalar);
     TopK packed_top(17);
-    std::vector<float> scratch;
     ScanCodesPackedIntoTopK(table.data(), packed.data(), codes, m,
-                            /*ids=*/nullptr, /*base_id=*/5, packed_top,
-                            scratch);
+                            /*ids=*/nullptr, /*base_id=*/5, packed_top);
     const std::vector<Neighbor> b = packed_top.SortedTake();
     ASSERT_EQ(a.size(), b.size());
     for (size_t i = 0; i < a.size(); ++i) {
@@ -458,9 +441,8 @@ TEST(DistanceKernels, ScanRowsIntoTopKKeepsIdTieBreak) {
   for (bool force_scalar : {true, false}) {
     ForceScalarGuard guard(force_scalar);
     TopK topk(2);
-    std::vector<float> scratch;
-    ScanRowsIntoTopK(Metric::kL2, target.data(), rows.data(), 6, dim,
-                     /*ids=*/nullptr, /*base_id=*/100, topk, scratch);
+    ScanRowsIntoTopK(target.data(), rows.data(), 6, dim, /*ids=*/nullptr,
+                     /*base_id=*/100, topk);
     const std::vector<Neighbor> out = topk.SortedTake();
     ASSERT_EQ(out.size(), 2u);
     EXPECT_EQ(out[0].id, 101);  // Equal distances: lower id first.
@@ -478,11 +460,8 @@ TEST(DistanceKernels, ArgMinFirstIndexWinsTies) {
   std::memcpy(rows.data() + 3 * dim, query.data(), dim * sizeof(float));
   for (bool force_scalar : {true, false}) {
     ForceScalarGuard guard(force_scalar);
-    std::vector<float> scratch;
     float min_dist = -1.0f;
-    EXPECT_EQ(ArgMinL2(query.data(), rows.data(), 5, dim, scratch,
-                       &min_dist),
-              2u);
+    EXPECT_EQ(ArgMinL2(query.data(), rows.data(), 5, dim, &min_dist), 2u);
     EXPECT_EQ(min_dist, 0.0f);
   }
 }
@@ -499,7 +478,7 @@ TEST(DistanceKernels, FlatExactIdsIdenticalScalarVsDispatched) {
   bed_options.num_queries = 16;
   const rago::testing::AnnTestBed bed =
       rago::testing::MakeAnnTestBed(bed_options);
-  const FlatIndex flat(rago::testing::CopyMatrix(bed.data), Metric::kL2);
+  const FlatIndex flat(rago::testing::CopyMatrix(bed.data));
   for (size_t q = 0; q < bed.queries.rows(); ++q) {
     std::vector<Neighbor> scalar_out;
     std::vector<Neighbor> dispatched_out;
@@ -527,8 +506,7 @@ TEST(DistanceKernels, IvfFullProbeIdsIdenticalScalarVsDispatched) {
   Rng rng(21);
   IvfOptions options;
   options.nlist = 16;
-  const IvfIndex ivf(rago::testing::CopyMatrix(bed.data), Metric::kL2,
-                     options, rng);
+  const IvfIndex ivf(rago::testing::CopyMatrix(bed.data), options, rng);
   for (size_t q = 0; q < bed.queries.rows(); ++q) {
     std::vector<Neighbor> scalar_out;
     std::vector<Neighbor> dispatched_out;
@@ -562,8 +540,7 @@ TEST(DistanceKernels, IvfBatchedCoarseRankingMatchesPerQuerySearch) {
   Rng rng(33);
   IvfOptions options;
   options.nlist = 24;
-  const IvfIndex ivf(rago::testing::CopyMatrix(bed.data), Metric::kL2,
-                     options, rng);
+  const IvfIndex ivf(rago::testing::CopyMatrix(bed.data), options, rng);
   for (bool force_scalar : {true, false}) {
     ForceScalarGuard guard(force_scalar);
     const auto batched = ivf.SearchBatch(bed.queries, 7, /*nprobe=*/4);
@@ -730,8 +707,7 @@ TEST(DistanceKernels, HnswSearchDigestIsPinned) {
     HnswOptions options;
     options.max_degree = 8;
     options.ef_construction = 32;
-    const HnswIndex index(rago::testing::CopyMatrix(bed.data), Metric::kL2,
-                          options, rng);
+    const HnswIndex index(rago::testing::CopyMatrix(bed.data), options, rng);
     std::vector<std::vector<Neighbor>> results;
     for (size_t q = 0; q < bed.queries.rows(); ++q) {
       results.push_back(index.Search(bed.queries.Row(q), 10, 16));
@@ -766,7 +742,7 @@ TEST(DistanceKernels, FlatSearchBatchDigestIsPinned) {
   for (const Case& c : cases) {
     ForceScalarGuard guard(c.force_scalar);
     const rago::testing::AnnTestBed bed = PinBed(c.dim);
-    const FlatIndex index(rago::testing::CopyMatrix(bed.data), Metric::kL2);
+    const FlatIndex index(rago::testing::CopyMatrix(bed.data));
     EXPECT_EQ(ResultDigest(index.SearchBatch(bed.queries, 10)), c.digest)
         << "dim " << c.dim;
   }
@@ -796,8 +772,7 @@ TEST(DistanceKernels, IvfSearchBatchDigestIsPinned) {
     IvfOptions options;
     options.nlist = 64;
     options.kmeans_iterations = 6;
-    const IvfIndex index(rago::testing::CopyMatrix(bed.data), Metric::kL2,
-                         options, rng);
+    const IvfIndex index(rago::testing::CopyMatrix(bed.data), options, rng);
     EXPECT_EQ(ResultDigest(index.SearchBatch(bed.queries, 10, /*nprobe=*/1)),
               c.one_probe)
         << "dim " << c.dim;
@@ -871,7 +846,7 @@ TEST(DistanceKernels, HnswRecallParityScalarVsDispatched) {
   auto recall_under = [&](bool force_scalar) {
     ForceScalarGuard guard(force_scalar);
     Rng rng(7);
-    const HnswIndex index(rago::testing::CopyMatrix(bed.data), Metric::kL2,
+    const HnswIndex index(rago::testing::CopyMatrix(bed.data),
                           HnswOptions{}, rng);
     const auto results = index.SearchBatch(bed.queries, 10, /*ef_search=*/64);
     return MeanRecallAtK(results, bed.truth, 10);

@@ -84,8 +84,7 @@ TEST(Integration, FunctionalTreeAndCostModelAgreeOnScanTradeoff) {
   ann::Matrix data = ann::GenClustered(4000, 16, 32, 0.3f, rng);
   ann::Matrix queries = ann::GenQueriesNear(data, 16, 0.1f, rng);
 
-  const ann::FlatIndex flat(rago::testing::CopyMatrix(data),
-                            ann::Metric::kL2);
+  const ann::FlatIndex flat(rago::testing::CopyMatrix(data));
   std::vector<std::vector<ann::Neighbor>> truth;
   for (size_t q = 0; q < queries.rows(); ++q) {
     truth.push_back(flat.Search(queries.Row(q), 10));

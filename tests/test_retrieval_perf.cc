@@ -268,16 +268,12 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Roofline, AccountingClosedFormsMatchHandComputation) {
   // Batch scan: rows stream once, one float distance written per row.
-  const KernelWork l2 = AccountBatchScan(ann::Metric::kL2, 1000, 64);
+  const KernelWork l2 = AccountBatchScan(1000, 64);
   EXPECT_DOUBLE_EQ(l2.bytes, 1000.0 * 64 * 4 + 1000.0 * 4);
   EXPECT_DOUBLE_EQ(l2.flops, 1000.0 * 64 * 3);  // sub + FMA per element.
 
-  const KernelWork ip = AccountBatchScan(ann::Metric::kInnerProduct, 1000, 64);
-  EXPECT_DOUBLE_EQ(ip.bytes, l2.bytes);
-  EXPECT_DOUBLE_EQ(ip.flops, 1000.0 * 64 * 2);  // one FMA per element.
-
   // Micro-tile: row stream shared across queries, full output block.
-  const KernelWork tile = AccountTileScan(ann::Metric::kL2, 8, 1000, 64);
+  const KernelWork tile = AccountTileScan(8, 1000, 64);
   EXPECT_DOUBLE_EQ(tile.bytes,
                    1000.0 * 64 * 4 + 8.0 * 64 * 4 + 8.0 * 1000 * 4);
   EXPECT_DOUBLE_EQ(tile.flops, 8.0 * 1000 * 64 * 3);
@@ -301,8 +297,8 @@ TEST(Roofline, AccountingClosedFormsMatchHandComputation) {
                    129.0 * 32 * 16 + 16.0 * 256 * 4 + 4097.0 * 4);
   EXPECT_DOUBLE_EQ(padded.flops, 4097.0 * 16);
 
-  EXPECT_THROW(AccountBatchScan(ann::Metric::kL2, 0, 64), ConfigError);
-  EXPECT_THROW(AccountTileScan(ann::Metric::kL2, 8, 1000, 0), ConfigError);
+  EXPECT_THROW(AccountBatchScan(0, 64), ConfigError);
+  EXPECT_THROW(AccountTileScan(8, 1000, 0), ConfigError);
   EXPECT_THROW(AccountPqTableBuild(64, 8, 0), ConfigError);
   EXPECT_THROW(AccountAdcPackedScan(0, 16), ConfigError);
 }
@@ -311,10 +307,9 @@ TEST(Roofline, TileIntensityGrowsWithTileHeight) {
   // The micro-tile's reason to exist: amortizing the row stream over
   // more queries raises arithmetic intensity roughly linearly, which
   // is what eventually crosses the ridge into compute-bound land.
-  double previous = AccountBatchScan(ann::Metric::kL2, 4096, 64).Intensity();
+  double previous = AccountBatchScan(4096, 64).Intensity();
   for (size_t queries : {2, 8, 32, 128}) {
-    const double intensity =
-        AccountTileScan(ann::Metric::kL2, queries, 4096, 64).Intensity();
+    const double intensity = AccountTileScan(queries, 4096, 64).Intensity();
     EXPECT_GT(intensity, previous);
     previous = intensity;
   }
@@ -336,7 +331,6 @@ TEST(Roofline, ClassificationFollowsTheRidge) {
   {
     const KernelProfiler profiler(bandwidth_starved, options);
     EXPECT_TRUE(profiler.ProfileL2Batch().memory_bound);
-    EXPECT_TRUE(profiler.ProfileIpBatch().memory_bound);
     EXPECT_TRUE(profiler.ProfileL2Tile().memory_bound);
     EXPECT_TRUE(profiler.ProfilePqTableBuild().memory_bound);
     EXPECT_TRUE(profiler.ProfileAdcPacked().memory_bound);
@@ -367,9 +361,8 @@ TEST(Roofline, ProfiledPointsAreInternallyConsistent) {
   const KernelProfiler profiler(peaks, options);
 
   for (const KernelRooflinePoint& point :
-       {profiler.ProfileL2Batch(), profiler.ProfileIpBatch(),
-        profiler.ProfileL2Tile(), profiler.ProfilePqTableBuild(),
-        profiler.ProfileAdcPacked()}) {
+       {profiler.ProfileL2Batch(), profiler.ProfileL2Tile(),
+        profiler.ProfilePqTableBuild(), profiler.ProfileAdcPacked()}) {
     EXPECT_FALSE(point.kernel.empty());
     EXPECT_EQ(point.variant, ann::kernels::Active().name);
     EXPECT_GT(point.seconds, 0.0);

@@ -101,7 +101,7 @@ TEST(ShardedIndex, FlatShardingIsExactForAllPartitionersAndThreadCounts) {
   // identical (incl. tie-breaks) to the single-index search, for k
   // spanning shard boundaries, for threads {1, 4}.
   const AnnTestBed bed = MakeAnnTestBed(1500, 12, 16);
-  const ann::FlatIndex single(CopyMatrix(bed.data), ann::Metric::kL2);
+  const ann::FlatIndex single(CopyMatrix(bed.data));
   for (PartitionerKind kind : kAllPartitioners) {
     ShardedIndexOptions options;
     options.num_shards = 5;
@@ -131,7 +131,7 @@ TEST(ShardedIndex, ExactWithDuplicateVectorTies) {
       data.Row(i)[d] = 1.0f;
     }
   }
-  const ann::FlatIndex single(CopyMatrix(data), ann::Metric::kL2);
+  const ann::FlatIndex single(CopyMatrix(data));
   ShardedIndexOptions options;
   options.num_shards = 4;
   options.partitioner = PartitionerKind::kHash;
@@ -152,7 +152,7 @@ TEST(ShardedIndex, KLargerThanSomeShardsStillExact) {
   // k larger than every shard's row count: the merge must pull from
   // all shards without padding or truncation artifacts.
   const AnnTestBed bed = MakeAnnTestBed(40, 6, 4);
-  const ann::FlatIndex single(CopyMatrix(bed.data), ann::Metric::kL2);
+  const ann::FlatIndex single(CopyMatrix(bed.data));
   ShardedIndexOptions options;
   options.num_shards = 8;  // 5 rows per shard.
   const ShardedIndex sharded(CopyMatrix(bed.data), options);
@@ -166,7 +166,7 @@ TEST(ShardedIndex, QueryBlockSplitStaysExact) {
   // block == 1 (one task per query), a block that leaves a ragged
   // tail, and a block far larger than the batch all match the oracle.
   const AnnTestBed bed = MakeAnnTestBed(900, 10, 17);
-  const ann::FlatIndex single(CopyMatrix(bed.data), ann::Metric::kL2);
+  const ann::FlatIndex single(CopyMatrix(bed.data));
   const auto expected = single.SearchBatch(bed.queries, 11);
   for (int query_block : {1, 3, 5, 1000}) {
     ShardedIndexOptions options;

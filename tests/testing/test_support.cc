@@ -18,7 +18,7 @@ AnnTestBed MakeAnnTestBed(const AnnTestBedOptions& options) {
   bed.queries =
       ann::GenQueriesNear(bed.data, options.num_queries, options.query_noise,
                           rng);
-  const ann::FlatIndex flat(CopyMatrix(bed.data), ann::Metric::kL2);
+  const ann::FlatIndex flat(CopyMatrix(bed.data));
   bed.truth.reserve(bed.queries.rows());
   for (size_t q = 0; q < bed.queries.rows(); ++q) {
     bed.truth.push_back(flat.Search(bed.queries.Row(q), options.truth_k));
