@@ -15,9 +15,9 @@ namespace {
 
 // ---------------------------------------------------------------------------
 // Scalar reference kernels. The per-row loops are bit-identical to the
-// sequential L2Sq in distance.cc — the batch shape changes
-// only where the loop lives, not the accumulation order — so forcing
-// scalar reproduces pre-kernel-layer results exactly.
+// sequential L2Sq in distance.cc — the batch shape changes only where
+// the loop lives, not the accumulation order — so forcing scalar
+// reproduces pre-kernel-layer results exactly.
 // ---------------------------------------------------------------------------
 
 void ScalarL2Batch(const float* query, const float* rows, size_t num_rows,
