@@ -11,8 +11,12 @@
 #include <map>
 
 #include "common/check.h"
+#include "common/fnv.h"
 #include "core/pipeline_model.h"
 #include "core/schema.h"
+#include "retrieval/perf/bruteforce_model.h"
+#include "retrieval/perf/measured_model.h"
+#include "retrieval/perf/scann_model.h"
 #include "tests/testing/test_support.h"
 
 namespace rago::core {
@@ -343,6 +347,152 @@ TEST(PipelineModel, DecodeContextAccountsPrefixAndGeneration) {
   const PipelineModel model(MakeHyperscaleSchema(8, 1), DefaultCluster());
   EXPECT_EQ(model.AvgDecodeContext(), 512 + 128);
   EXPECT_EQ(model.MaxDecodeContext(), 512 + 256);
+}
+
+TEST(PipelineModel, StageCostDigestIsPinned) {
+  // Every bit of every pricing rule the optimizer and the serving
+  // runtime consume: per-stage costs over the chip x batch grid,
+  // retrieval across server counts (infeasible ones included),
+  // document-cache hit rates, end-to-end evaluation (iterative stalls
+  // and the retrieval pause included) and the three retrieval models'
+  // wave formula across the core-count boundary. A pricing change that
+  // moves one bit of one reported number fails here.
+  uint64_t hash = kFnvOffset;
+  auto fold = [&hash](double value) { hash = FnvFold(hash, FloatBits(value)); };
+  auto fold_int = [&hash](int64_t value) {
+    hash = FnvFold(hash, static_cast<uint64_t>(value));
+  };
+  auto fold_stage = [&](const StagePerf& perf) {
+    fold(perf.latency);
+    fold(perf.throughput);
+    fold(perf.mem_per_chip);
+    fold_int(perf.plan.tensor);
+    fold_int(perf.plan.pipeline);
+    fold_int(perf.plan.replicas);
+    fold_int(perf.feasible ? 1 : 0);
+  };
+  auto fold_e2e = [&](const EndToEndPerf& perf) {
+    fold(perf.ttft);
+    fold(perf.tpot);
+    fold(perf.qps);
+    fold(perf.qps_per_chip);
+    fold_int(perf.chip_equivalents);
+    fold_int(perf.feasible ? 1 : 0);
+  };
+  auto fold_search = [&](const retrieval::RetrievalModel& model,
+                         int64_t max_batch) {
+    for (int64_t b = 1; b <= max_batch; ++b) {
+      const retrieval::RetrievalCost cost = model.Search(b);
+      fold(cost.latency);
+      fold(cost.throughput);
+    }
+  };
+
+  const ClusterConfig cluster = DefaultCluster();
+  const int64_t chain_batches[] = {1, 3, 16, 64, 256};
+  const int64_t decode_batches[] = {1, 16, 128, 1024};
+  const RAGSchema schemas[] = {
+      MakeHyperscaleSchema(8, 2),
+      MakeLongContextSchema(8, 100'000),
+      MakeIterativeSchema(8, 4),
+      MakeRewriterRerankerSchema(8),
+      MakeLlmOnlySchema(70),
+      MakeLongContextLlmOnlySchema(70, 1'000'000),
+  };
+  for (const RAGSchema& schema : schemas) {
+    const PipelineModel model(schema, cluster);
+    for (const StageType stage : model.chain()) {
+      for (int chips = 1; chips <= cluster.TotalXpus(); chips *= 2) {
+        for (const int64_t batch : chain_batches) {
+          fold_stage(model.EvalChainStage(stage, chips, batch));
+        }
+      }
+    }
+    for (int chips = 1; chips <= cluster.TotalXpus(); chips *= 2) {
+      for (const int64_t batch : decode_batches) {
+        fold_stage(model.EvalDecode(chips, batch));
+      }
+      for (const double hit_rate : {0.0, 0.5, 1.0}) {
+        fold_stage(model.EvalPrefixCached(chips, 16, hit_rate));
+      }
+    }
+    const int min_servers = model.MinRetrievalServers();
+    if (schema.retrieval_enabled) {
+      for (const int servers : {min_servers - 1, min_servers,
+                                cluster.num_servers,
+                                cluster.num_servers + 1}) {
+        if (servers < 1) {
+          continue;
+        }
+        for (const int64_t batch : chain_batches) {
+          fold_stage(model.EvalRetrieval(static_cast<int>(batch), servers));
+        }
+      }
+      for (int chips = 1; chips <= cluster.TotalXpus(); chips *= 4) {
+        for (const int64_t batch : chain_batches) {
+          fold_stage(model.EvalIngestPrefix(chips, batch));
+        }
+      }
+    }
+
+    // Schedules: everything collocated (the retrieval pause path when
+    // a stage precedes retrieval) and every stage on its own group.
+    std::vector<Schedule> schedules;
+    for (const int64_t batch : {int64_t{1}, int64_t{8}, int64_t{64}}) {
+      schedules.push_back(SimpleSchedule(model, 8, 8, batch));
+      Schedule split = SimpleSchedule(model, 4, 16, batch);
+      split.group_chips.clear();
+      for (size_t i = 0; i < model.chain().size(); ++i) {
+        split.chain_group[i] = static_cast<int>(i);
+        split.group_chips.push_back(4);
+      }
+      schedules.push_back(split);
+    }
+    for (Schedule& schedule : schedules) {
+      for (const int64_t iterative_batch : {1, 4, 32}) {
+        schedule.iterative_batch = iterative_batch;
+        fold_e2e(model.Evaluate(schedule));
+        fold(model.BurstAverageTtft(schedule, 32));
+      }
+    }
+    if (schema.retrieval_enabled) {
+      retrieval::MeasuredScanProfile profile;
+      profile.bytes_per_query_per_server = 3.0e6;
+      profile.scan_bytes_per_core = 9.0e9;
+      profile.merge_seconds_per_query = 2.5e-5;
+      const retrieval::MeasuredRetrievalModel measured(
+          profile, cluster.cpu_server, min_servers);
+      const StagePerfProvider provider =
+          model.ProviderWithRetrievalModel(measured);
+      for (const Schedule& schedule : schedules) {
+        fold_e2e(model.EvaluateWith(schedule, provider));
+      }
+      for (const int servers : {min_servers - 1, min_servers,
+                                cluster.num_servers + 1}) {
+        if (servers >= 1) {
+          fold_stage(provider.retrieval(8, servers));
+        }
+      }
+    }
+  }
+
+  // The retrieval models' wave formula on both sides of the core count.
+  const int64_t max_batch = 2 * cluster.cpu_server.cores + 1;
+  const retrieval::ScannModel scann(retrieval::DatabaseSpec{},
+                                    cluster.cpu_server, 16);
+  fold_search(scann, max_batch);
+  const retrieval::BruteForceModel brute(1'000'000, 768, 2.0,
+                                         cluster.cpu_server);
+  fold_search(brute, max_batch);
+  retrieval::MeasuredScanProfile profile;
+  profile.bytes_per_query_per_server = scann.BytesPerQueryPerServer();
+  profile.scan_bytes_per_core = cluster.cpu_server.scan_bytes_per_core;
+  profile.merge_seconds_per_query = 1.0e-5;
+  fold_search(retrieval::MeasuredRetrievalModel(profile, cluster.cpu_server,
+                                                16),
+              max_batch);
+
+  EXPECT_EQ(hash, 0xa66a5d01dbb23bccull);
 }
 
 }  // namespace
