@@ -1,7 +1,6 @@
 #include "core/pipeline_model.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 #include "common/check.h"
@@ -20,6 +19,19 @@ retrieval::DatabaseSpec ToDatabaseSpec(const RetrievalConfig& config) {
   spec.pq_bytes_per_vector = config.pq_bytes_per_vector;
   spec.scan_fraction = config.scan_fraction;
   return spec;
+}
+
+/// A phase's best plan as a pipeline stage cost. Stages that price a
+/// request as several phase items (chunks, steps, passages) scale the
+/// latency or throughput afterwards.
+StagePerf ToStagePerf(const models::PhaseCost& best) {
+  StagePerf perf;
+  perf.latency = best.latency;
+  perf.throughput = best.throughput;
+  perf.mem_per_chip = best.mem_per_chip;
+  perf.plan = best.plan;
+  perf.feasible = best.feasible;
+  return perf;
 }
 
 }  // namespace
@@ -83,65 +95,46 @@ PipelineModel::EvalChainStage(StageType stage, int chips,
                               int64_t batch) const {
   RAGO_REQUIRE(chips > 0 && batch > 0, "chips and batch must be positive");
   const WorkloadConfig& w = schema_.workload;
-  StagePerf perf;
 
   switch (stage) {
     case StageType::kDatabaseEncode: {
       // Encode the uploaded context in fixed-size chunks; a request
       // contributes ceil(context / chunk) encoder invocations.
       const int64_t chunks = CeilDiv(w.context_tokens, w.encode_chunk_tokens);
-      const models::PhaseCost best = ModelFor(stage).BestEncode(
-          chips, batch * chunks, w.encode_chunk_tokens);
-      perf.latency = best.latency;
-      perf.throughput = best.throughput / static_cast<double>(chunks);
-      perf.mem_per_chip = best.mem_per_chip;
-      perf.plan = best.plan;
-      perf.feasible = best.feasible;
+      StagePerf perf = ToStagePerf(ModelFor(stage).BestEncode(
+          chips, batch * chunks, w.encode_chunk_tokens));
+      perf.throughput /= static_cast<double>(chunks);
       return perf;
     }
-    case StageType::kRewritePrefix: {
-      const models::PhaseCost best =
-          ModelFor(stage).BestPrefix(chips, batch, w.question_tokens);
-      perf.latency = best.latency;
-      perf.throughput = best.throughput;
-      perf.mem_per_chip = best.mem_per_chip;
-      perf.plan = best.plan;
-      perf.feasible = best.feasible;
-      return perf;
-    }
+    case StageType::kRewritePrefix:
+      return ToStagePerf(
+          ModelFor(stage).BestPrefix(chips, batch, w.question_tokens));
     case StageType::kRewriteDecode: {
       // Autoregressive generation of the rewritten query.
       const int64_t steps = w.rewrite_output_tokens;
       const int64_t avg_ctx = w.question_tokens + steps / 2;
       const int64_t max_ctx = w.question_tokens + steps;
-      const models::PhaseCost best =
-          ModelFor(stage).BestDecode(chips, batch, avg_ctx, max_ctx);
-      perf.latency = static_cast<double>(steps) * best.latency;
-      perf.throughput = best.throughput / static_cast<double>(steps);
-      perf.mem_per_chip = best.mem_per_chip;
-      perf.plan = best.plan;
-      perf.feasible = best.feasible;
+      StagePerf perf = ToStagePerf(
+          ModelFor(stage).BestDecode(chips, batch, avg_ctx, max_ctx));
+      perf.latency *= static_cast<double>(steps);
+      perf.throughput /= static_cast<double>(steps);
       return perf;
     }
     case StageType::kRerank: {
       // Score rerank_candidates passages of passage_tokens each.
       const int64_t passages = w.rerank_candidates;
-      const models::PhaseCost best = ModelFor(stage).BestEncode(
-          chips, batch * passages, w.passage_tokens);
-      perf.latency = best.latency;
-      perf.throughput = best.throughput / static_cast<double>(passages);
-      perf.mem_per_chip = best.mem_per_chip;
-      perf.plan = best.plan;
-      perf.feasible = best.feasible;
+      StagePerf perf = ToStagePerf(ModelFor(stage).BestEncode(
+          chips, batch * passages, w.passage_tokens));
+      perf.throughput /= static_cast<double>(passages);
       return perf;
     }
     case StageType::kPrefix:
       return EvalPrefixCached(chips, batch, w.prefix_cache_hit_rate);
     case StageType::kRetrieval:
     case StageType::kDecode:
-      RAGO_REQUIRE(false, "EvalChainStage handles prefix-chain stages only");
+      break;
   }
-  return perf;
+  RAGO_REQUIRE(false, "EvalChainStage handles prefix-chain stages only");
 }
 
 StagePerf
@@ -169,29 +162,17 @@ PipelineModel::EvalPrefixCached(int chips, int64_t batch,
         static_cast<int64_t>(retrieved * (1.0 - hit_rate));
     prefix_tokens = std::max<int64_t>(prefix_tokens, 1);
   }
-  const models::PhaseCost best = ModelFor(StageType::kPrefix)
-                                     .BestPrefix(chips, batch,
-                                                 prefix_tokens, mode);
-  StagePerf perf;
-  perf.latency = best.latency;
-  perf.throughput = best.throughput;
-  perf.mem_per_chip = best.mem_per_chip;
-  perf.plan = best.plan;
-  perf.feasible = best.feasible;
-  return perf;
+  return ToStagePerf(ModelFor(StageType::kPrefix)
+                         .BestPrefix(chips, batch, prefix_tokens, mode));
 }
 
 StagePerf
 PipelineModel::EvalDecode(int chips, int64_t batch) const {
   const int64_t steps = schema_.workload.decode_tokens;
-  const models::PhaseCost best =
-      llm_->BestDecode(chips, batch, AvgDecodeContext(), MaxDecodeContext());
-  StagePerf perf;
-  perf.latency = best.latency;  // One step: the TPOT building block.
-  perf.throughput = best.throughput / static_cast<double>(steps);
-  perf.mem_per_chip = best.mem_per_chip;
-  perf.plan = best.plan;
-  perf.feasible = best.feasible;
+  // Latency stays one step: the TPOT building block.
+  StagePerf perf = ToStagePerf(
+      llm_->BestDecode(chips, batch, AvgDecodeContext(), MaxDecodeContext()));
+  perf.throughput /= static_cast<double>(steps);
   return perf;
 }
 
@@ -210,9 +191,8 @@ PipelineModel::MinRetrievalServers() const {
   if (!schema_.retrieval_enabled || schema_.retrieval.brute_force) {
     return 1;  // Per-request data lives on the (existing) host.
   }
-  const retrieval::DatabaseSpec spec = ToDatabaseSpec(schema_.retrieval);
-  return static_cast<int>(
-      std::ceil(spec.QuantizedBytes() / cluster_.cpu_server.dram_bytes));
+  return retrieval::ScannModel::MinServersForCapacity(
+      ToDatabaseSpec(schema_.retrieval), cluster_.cpu_server);
 }
 
 int
@@ -225,39 +205,47 @@ PipelineModel::RetrievalChipEquivalents(int servers) const {
   return servers * cluster_.xpus_per_server;
 }
 
+bool
+PipelineModel::RetrievalFits(int request_batch, int servers) const {
+  RAGO_REQUIRE(request_batch > 0 && servers > 0,
+               "batch and server count must be positive");
+  // Brute-force data lives on the inference hosts; a quantized
+  // database needs enough DRAM but no more hosts than the cluster has.
+  return schema_.retrieval.brute_force ||
+         (servers >= MinRetrievalServers() && servers <= cluster_.num_servers);
+}
+
+StagePerf
+PipelineModel::PriceRetrieval(const retrieval::RetrievalModel& model,
+                              int request_batch) const {
+  const int qpr = schema_.retrieval.queries_per_retrieval;
+  const retrieval::RetrievalCost cost =
+      model.Search(static_cast<int64_t>(request_batch) * qpr);
+  StagePerf perf;
+  perf.latency = cost.latency;
+  perf.throughput = cost.throughput / qpr;
+  perf.feasible = true;
+  return perf;
+}
+
 StagePerf
 PipelineModel::EvalRetrieval(int request_batch, int servers) const {
   RAGO_REQUIRE(schema_.retrieval_enabled,
                "schema disables retrieval; no retrieval stage to evaluate");
-  RAGO_REQUIRE(request_batch > 0 && servers > 0,
-               "batch and server count must be positive");
+  if (!RetrievalFits(request_batch, servers)) {
+    return StagePerf{};
+  }
   const RetrievalConfig& r = schema_.retrieval;
-  const int64_t queries =
-      static_cast<int64_t>(request_batch) * r.queries_per_retrieval;
-
-  StagePerf perf;
   if (r.brute_force) {
-    const retrieval::BruteForceModel model(r.num_db_vectors, r.vector_dim,
-                                           r.brute_force_bytes_per_dim,
-                                           cluster_.cpu_server);
-    const retrieval::RetrievalCost cost = model.Search(queries);
-    perf.latency = cost.latency;
-    perf.throughput = cost.throughput / r.queries_per_retrieval;
-    perf.feasible = true;
-    return perf;
+    return PriceRetrieval(
+        retrieval::BruteForceModel(r.num_db_vectors, r.vector_dim,
+                                   r.brute_force_bytes_per_dim,
+                                   cluster_.cpu_server),
+        request_batch);
   }
-
-  if (servers < MinRetrievalServers() || servers > cluster_.num_servers) {
-    perf.feasible = false;
-    return perf;
-  }
-  const retrieval::ScannModel model(ToDatabaseSpec(r), cluster_.cpu_server,
-                                    servers);
-  const retrieval::RetrievalCost cost = model.Search(queries);
-  perf.latency = cost.latency;
-  perf.throughput = cost.throughput / r.queries_per_retrieval;
-  perf.feasible = true;
-  return perf;
+  return PriceRetrieval(retrieval::ScannModel(ToDatabaseSpec(r),
+                                              cluster_.cpu_server, servers),
+                        request_batch);
 }
 
 StagePerf
@@ -265,15 +253,7 @@ PipelineModel::EvalIngestPrefix(int chips, int64_t batch) const {
   const WorkloadConfig& w = schema_.workload;
   const int64_t ingest_tokens =
       static_cast<int64_t>(w.neighbors) * w.passage_tokens;
-  const models::PhaseCost best =
-      llm_->BestPrefix(chips, batch, ingest_tokens);
-  StagePerf perf;
-  perf.latency = best.latency;
-  perf.throughput = best.throughput;
-  perf.mem_per_chip = best.mem_per_chip;
-  perf.plan = best.plan;
-  perf.feasible = best.feasible;
-  return perf;
+  return ToStagePerf(llm_->BestPrefix(chips, batch, ingest_tokens));
 }
 
 StagePerfProvider
@@ -301,26 +281,13 @@ PipelineModel::ProviderWithRetrievalModel(
                "schema disables retrieval; nothing for the measured "
                "retrieval model to price");
   StagePerfProvider provider = LiveProvider();
-  const int qpr = schema_.retrieval.queries_per_retrieval;
-  provider.retrieval = [this, &model, qpr](int request_batch, int servers) {
-    RAGO_REQUIRE(request_batch > 0 && servers > 0,
-                 "batch and server count must be positive");
-    StagePerf perf;
-    // Capacity feasibility stays with the cluster model; pricing comes
-    // from the measured model (it describes the deployment it was
-    // calibrated on, whatever the nominal server count).
-    if (!schema_.retrieval.brute_force &&
-        (servers < MinRetrievalServers() ||
-         servers > cluster_.num_servers)) {
-      perf.feasible = false;
-      return perf;
-    }
-    const int64_t queries = static_cast<int64_t>(request_batch) * qpr;
-    const retrieval::RetrievalCost cost = model.Search(queries);
-    perf.latency = cost.latency;
-    perf.throughput = cost.throughput / qpr;
-    perf.feasible = true;
-    return perf;
+  // Capacity feasibility stays with the cluster model; pricing comes
+  // from `model` (it describes the deployment it was calibrated on,
+  // whatever the nominal server count).
+  provider.retrieval = [this, &model](int request_batch, int servers) {
+    return RetrievalFits(request_batch, servers)
+               ? PriceRetrieval(model, request_batch)
+               : StagePerf{};
   };
   return provider;
 }
@@ -432,22 +399,12 @@ PipelineModel::EvaluateWith(const Schedule& schedule,
       perf.feasible = false;
       return perf;
     }
-    // Expected wait to fill an iterative batch: retrieval requests
-    // arrive at lambda = decode_batch * rounds / decode duration; a
-    // round departs once iterative_batch requests accumulate.
-    const double lambda =
-        static_cast<double>(schedule.decode_batch) * iter_rounds /
-        (static_cast<double>(w.decode_tokens) * decode_perf.latency);
-    const double wait =
-        (static_cast<double>(schedule.iterative_batch) - 1.0) / (2.0 * lambda);
-    const double stall_per_round =
-        iter_retrieval.latency + ingest.latency + wait;
-    const double stall_total = iter_rounds * stall_per_round;
-    tpot += stall_total / static_cast<double>(w.decode_tokens);
-    decode_request_throughput =
-        static_cast<double>(schedule.decode_batch) /
-        (static_cast<double>(w.decode_tokens) * decode_perf.latency +
-         stall_total);
+    const IterativeStall stall = IterativeDecodeStall(
+        schedule.decode_batch, iter_rounds, w.decode_tokens,
+        decode_perf.latency, schedule.iterative_batch,
+        iter_retrieval.latency, ingest.latency);
+    tpot += stall.stall_total / static_cast<double>(w.decode_tokens);
+    decode_request_throughput = stall.decode_request_rate;
   }
   min_throughput = std::min(min_throughput, decode_request_throughput);
 

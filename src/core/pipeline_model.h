@@ -48,6 +48,38 @@ struct StagePerfProvider {
   std::function<StagePerf(int chips, int64_t batch)> ingest;
 };
 
+/// Decode-stage cost of iterative retrieval (paper §5.3).
+struct IterativeStall {
+  double stall_total = 0.0;  ///< Seconds a sequence stalls, all rounds.
+  double decode_request_rate = 0.0;  ///< Requests/s decode sustains.
+};
+
+/**
+ * The stall model of iterative retrieval, shared by
+ * PipelineModel::EvaluateWith and the optimizer's enumeration. Each
+ * of `rounds` mid-decode rounds waits for an iterative batch to fill,
+ * then retrieves and ingests: retrieval requests arrive at
+ * lambda = decode_batch * rounds / decode duration, and a round
+ * departs once `iterative_batch` of them accumulate.
+ */
+inline IterativeStall IterativeDecodeStall(int64_t decode_batch, int rounds,
+                                           int decode_tokens,
+                                           double step_latency,
+                                           int64_t iterative_batch,
+                                           double retrieval_latency,
+                                           double ingest_latency) {
+  const double lambda = static_cast<double>(decode_batch) * rounds /
+                        (static_cast<double>(decode_tokens) * step_latency);
+  const double wait =
+      (static_cast<double>(iterative_batch) - 1.0) / (2.0 * lambda);
+  IterativeStall stall;
+  stall.stall_total = rounds * (retrieval_latency + ingest_latency + wait);
+  stall.decode_request_rate =
+      static_cast<double>(decode_batch) /
+      (static_cast<double>(decode_tokens) * step_latency + stall.stall_total);
+  return stall;
+}
+
 /// Resource-normalized time share of one stage (for breakdown plots).
 struct StageShare {
   StageType stage;
@@ -167,6 +199,14 @@ class PipelineModel {
 
  private:
   const models::InferenceModel& ModelFor(StageType stage) const;
+
+  /// Whether `servers` hosts can serve the database (the capacity
+  /// check every retrieval price passes first).
+  bool RetrievalFits(int request_batch, int servers) const;
+  /// `model`'s cost for `request_batch` requests, each issuing
+  /// queries_per_retrieval queries; throughput is requests/s.
+  StagePerf PriceRetrieval(const retrieval::RetrievalModel& model,
+                           int request_batch) const;
 
   RAGSchema schema_;
   ClusterConfig cluster_;

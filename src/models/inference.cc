@@ -98,32 +98,40 @@ InferenceModel::EvalPlan(const std::vector<Op>& ops, const ShardingPlan& plan,
   return cost;
 }
 
+template <typename WorkFn>
 std::vector<PhaseCost>
-InferenceModel::PrefixOptions(int chips, int64_t batch, int64_t seq_len,
-                              const AttentionMode& mode) const {
+InferenceModel::ReplicaSweep(int chips, int64_t batch, WorkFn work) const {
   std::vector<PhaseCost> options;
   for (int replicas = 1; replicas <= chips && replicas <= batch;
        replicas *= 2) {
     const int sub_chips = chips / replicas;
-    const int64_t replica_batch = CeilDiv(batch, replicas);
-    const std::vector<Op> ops =
-        BuildPrefixOps(config_, replica_batch, seq_len, mode);
-    const double per_layer_comm = static_cast<double>(replica_batch) *
-                                  seq_len * config_.d_model *
-                                  config_.bytes_per_activation;
-    // Prefix must hold the KV cache it produces.
-    const double kv_bytes = static_cast<double>(replica_batch) * seq_len *
-                            config_.KvBytesPerToken();
+    const ReplicaWork w = work(CeilDiv(batch, replicas));
     for (const ShardingPlan& plan : PlansFor(sub_chips)) {
-      PhaseCost cost = EvalPlan(ops, plan, per_layer_comm, kv_bytes);
-      // Each replica completes replica-batches at the stage rate;
-      // fleet items/s = full batch times that rate.
+      PhaseCost cost =
+          EvalPlan(w.ops, plan, w.per_layer_comm_bytes, w.kv_cache_bytes);
+      // Each replica completes replica-batches (decode: steps) at the
+      // stage rate; fleet items/s = full batch times that rate.
       cost.throughput *= static_cast<double>(batch);
       cost.plan.replicas = replicas;
       options.push_back(cost);
     }
   }
   return options;
+}
+
+std::vector<PhaseCost>
+InferenceModel::PrefixOptions(int chips, int64_t batch, int64_t seq_len,
+                              const AttentionMode& mode) const {
+  return ReplicaSweep(chips, batch, [&](int64_t replica_batch) {
+    ReplicaWork w;
+    w.ops = BuildPrefixOps(config_, replica_batch, seq_len, mode);
+    w.per_layer_comm_bytes = static_cast<double>(replica_batch) * seq_len *
+                             config_.d_model * config_.bytes_per_activation;
+    // Prefix must hold the KV cache it produces.
+    w.kv_cache_bytes = static_cast<double>(replica_batch) * seq_len *
+                       config_.KvBytesPerToken();
+    return w;
+  });
 }
 
 std::vector<PhaseCost>
@@ -131,52 +139,29 @@ InferenceModel::DecodeOptions(int chips, int64_t batch, int64_t context_len,
                               int64_t max_context) const {
   RAGO_REQUIRE(max_context >= context_len,
                "max_context must be at least the average context");
-  std::vector<PhaseCost> options;
-  for (int replicas = 1; replicas <= chips && replicas <= batch;
-       replicas *= 2) {
-    const int sub_chips = chips / replicas;
-    const int64_t replica_batch = CeilDiv(batch, replicas);
-    const std::vector<Op> ops =
-        BuildDecodeStepOps(config_, replica_batch, context_len);
-    const double per_layer_comm = static_cast<double>(replica_batch) *
-                                  config_.d_model *
-                                  config_.bytes_per_activation;
-    const double kv_bytes = static_cast<double>(replica_batch) * max_context *
-                            config_.KvBytesPerToken();
-    for (const ShardingPlan& plan : PlansFor(sub_chips)) {
-      PhaseCost cost = EvalPlan(ops, plan, per_layer_comm, kv_bytes);
-      // Tokens per second across all replicas' continuous batches.
-      cost.throughput *= static_cast<double>(batch);
-      cost.plan.replicas = replicas;
-      options.push_back(cost);
-    }
-  }
-  return options;
+  return ReplicaSweep(chips, batch, [&](int64_t replica_batch) {
+    ReplicaWork w;
+    w.ops = BuildDecodeStepOps(config_, replica_batch, context_len);
+    w.per_layer_comm_bytes = static_cast<double>(replica_batch) *
+                             config_.d_model * config_.bytes_per_activation;
+    w.kv_cache_bytes = static_cast<double>(replica_batch) * max_context *
+                       config_.KvBytesPerToken();
+    return w;
+  });
 }
 
 std::vector<PhaseCost>
 InferenceModel::EncodeOptions(int chips, int64_t batch,
                               int64_t chunk_len) const {
-  std::vector<PhaseCost> options;
-  for (int replicas = 1; replicas <= chips && replicas <= batch;
-       replicas *= 2) {
-    const int sub_chips = chips / replicas;
-    const int64_t replica_batch = CeilDiv(batch, replicas);
-    const std::vector<Op> ops =
-        BuildEncodeOps(config_, replica_batch, chunk_len);
-    const double per_layer_comm = static_cast<double>(replica_batch) *
-                                  chunk_len * config_.d_model *
-                                  config_.bytes_per_activation;
+  return ReplicaSweep(chips, batch, [&](int64_t replica_batch) {
+    ReplicaWork w;
+    w.ops = BuildEncodeOps(config_, replica_batch, chunk_len);
+    w.per_layer_comm_bytes = static_cast<double>(replica_batch) *
+                             chunk_len * config_.d_model *
+                             config_.bytes_per_activation;
     // Encoders emit embeddings; no KV cache is retained.
-    for (const ShardingPlan& plan : PlansFor(sub_chips)) {
-      PhaseCost cost = EvalPlan(ops, plan, per_layer_comm,
-                                /*kv_cache_bytes=*/0);
-      cost.throughput *= static_cast<double>(batch);  // Chunks per second.
-      cost.plan.replicas = replicas;
-      options.push_back(cost);
-    }
-  }
-  return options;
+    return w;
+  });
 }
 
 namespace {

@@ -110,6 +110,25 @@ class InferenceModel {
   double WeightBytesPerChip(const ShardingPlan& plan) const;
 
  private:
+  /// One replica's share of a phase: its operators, the activation
+  /// bytes each layer communicates, and the KV cache it must hold.
+  struct ReplicaWork {
+    std::vector<Op> ops;
+    double per_layer_comm_bytes = 0.0;
+    double kv_cache_bytes = 0.0;
+  };
+
+  /**
+   * The sweep every phase shares: for each power-of-two replica count
+   * r <= min(chips, batch), each replica takes ceil(batch / r) items
+   * on chips / r chips and is priced under every sharding plan of that
+   * sub-slice. `work(replica_batch)` returns a ReplicaWork; fleet
+   * throughput is the full batch times one replica's completion rate.
+   */
+  template <typename WorkFn>
+  std::vector<PhaseCost> ReplicaSweep(int chips, int64_t batch,
+                                      WorkFn work) const;
+
   PhaseCost EvalPlan(const std::vector<Op>& ops, const ShardingPlan& plan,
                      double per_layer_comm_bytes,
                      double kv_cache_bytes) const;

@@ -626,23 +626,17 @@ Optimizer::Search(const StagePerfProvider& provider) const {
         ++local.evaluated;
         double decode_throughput = decode.throughput;
         if (iterative) {
-          // Mirror PipelineModel::EvaluateWith's stall model.
           const StagePerf& ingest =
               ingest_perf(prefix_chip_idx, iter.batch_idx);
           if (!ingest.feasible) {
             continue;
           }
-          const double lambda = static_cast<double>(decode.batch) *
-                                iter_rounds /
-                                (decode_tokens * decode.latency);
-          const double wait =
-              (static_cast<double>(iter.batch) - 1.0) / (2.0 * lambda);
-          const double stall_total =
-              iter_rounds *
-              (iter.retrieval_latency + ingest.latency + wait);
           decode_throughput =
-              static_cast<double>(decode.batch) /
-              (decode_tokens * decode.latency + stall_total);
+              core::IterativeDecodeStall(decode.batch, iter_rounds,
+                                         decode_tokens, decode.latency,
+                                         iter.batch, iter.retrieval_latency,
+                                         ingest.latency)
+                  .decode_request_rate;
         }
         const double qps =
             std::min({chain_throughput,

@@ -1,9 +1,6 @@
 #include "retrieval/perf/bruteforce_model.h"
 
-#include <algorithm>
-
 #include "common/check.h"
-#include "common/math_util.h"
 
 namespace rago::retrieval {
 
@@ -25,18 +22,8 @@ BruteForceModel::BytesScannedPerQuery() const {
 
 RetrievalCost
 BruteForceModel::Search(int64_t batch_queries) const {
-  RAGO_REQUIRE(batch_queries > 0, "batch must be positive");
-  const double bytes = BytesScannedPerQuery();
-  const int64_t concurrent = std::min<int64_t>(batch_queries, server_.cores);
-  const double per_core_rate =
-      std::min(server_.scan_bytes_per_core,
-               server_.EffectiveMemBw() / static_cast<double>(concurrent));
-  const int64_t waves = CeilDiv(batch_queries, server_.cores);
-
-  RetrievalCost cost;
-  cost.latency = static_cast<double>(waves) * bytes / per_core_rate;
-  cost.throughput = static_cast<double>(batch_queries) / cost.latency;
-  return cost;
+  return WaveScanCost(batch_queries, BytesScannedPerQuery(),
+                      server_.scan_bytes_per_core, server_);
 }
 
 }  // namespace rago::retrieval

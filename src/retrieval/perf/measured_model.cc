@@ -1,9 +1,8 @@
 #include "retrieval/perf/measured_model.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "common/check.h"
-#include "common/math_util.h"
 
 namespace rago::retrieval {
 
@@ -33,23 +32,9 @@ MeasuredRetrievalModel::BytesScannedPerQuery() const {
 
 RetrievalCost
 MeasuredRetrievalModel::Search(int64_t batch_queries) const {
-  RAGO_REQUIRE(batch_queries > 0, "batch must be positive");
-
-  // Same wave/roofline shape as ScannModel::Search, with the measured
-  // per-core scan rate in place of the calibrated constant.
-  const int64_t concurrent = std::min<int64_t>(batch_queries, server_.cores);
-  const double per_core_rate =
-      std::min(profile_.scan_bytes_per_core,
-               server_.EffectiveMemBw() / static_cast<double>(concurrent));
-  const int64_t waves = CeilDiv(batch_queries, server_.cores);
-
-  RetrievalCost cost;
-  cost.latency = static_cast<double>(waves) *
-                     profile_.bytes_per_query_per_server / per_core_rate +
-                 static_cast<double>(batch_queries) *
-                     profile_.merge_seconds_per_query;
-  cost.throughput = static_cast<double>(batch_queries) / cost.latency;
-  return cost;
+  return WaveScanCost(batch_queries, profile_.bytes_per_query_per_server,
+                      profile_.scan_bytes_per_core, server_,
+                      profile_.merge_seconds_per_query);
 }
 
 }  // namespace rago::retrieval

@@ -6,8 +6,8 @@
  * published constants (18 GB/s/core scan rate, derated DRAM
  * bandwidth). The functional sharded tier (retrieval/serving) produces
  * the same quantities by measurement: bytes scanned and wall time per
- * shard. This adapter replays the same roofline/wave formula over a
- * *measured* profile, so the serving DES can cross-check analytical
+ * shard. This adapter feeds a *measured* profile to the same
+ * WaveScanCost pricing rule, so the serving DES can cross-check analytical
  * prices against real multi-server scans.
  */
 #ifndef RAGO_RETRIEVAL_PERF_MEASURED_MODEL_H
@@ -36,11 +36,10 @@ struct MeasuredScanProfile {
 };
 
 /**
- * RetrievalModel over a measured profile: one thread per query, query
- * waves beyond the core count, per-core rate capped by the fair share
- * of derated memory bandwidth — structurally identical to
- * ScannModel::Search so disagreement isolates calibration error, not
- * formula drift.
+ * RetrievalModel over a measured profile. It prices through the same
+ * WaveScanCost as ScannModel, with the measured bytes and per-core
+ * rate fed in and the merge term added, so a disagreement between the
+ * two isolates calibration error: there is no second formula to drift.
  */
 class MeasuredRetrievalModel : public RetrievalModel {
  public:

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/check.h"
-#include "common/math_util.h"
 
 namespace rago::retrieval {
 
@@ -87,23 +86,10 @@ ScannModel::BytesPerQueryPerServer() const {
 
 RetrievalCost
 ScannModel::Search(int64_t batch_queries) const {
-  RAGO_REQUIRE(batch_queries > 0, "batch must be positive");
-  const double bytes_per_server = BytesPerQueryPerServer();
-
-  // One thread per query. With q concurrent queries on a server, each
-  // core sustains min(per-core scan rate, fair share of memory BW).
-  const int64_t concurrent = std::min<int64_t>(batch_queries, server_.cores);
-  const double per_core_rate =
-      std::min(server_.scan_bytes_per_core,
-               server_.EffectiveMemBw() / static_cast<double>(concurrent));
-
-  // Queries beyond the core count run in successive waves.
-  const int64_t waves = CeilDiv(batch_queries, server_.cores);
-  RetrievalCost cost;
-  cost.latency =
-      static_cast<double>(waves) * bytes_per_server / per_core_rate;
-  cost.throughput = static_cast<double>(batch_queries) / cost.latency;
-  return cost;
+  // Every shard scans its slice in parallel, so one server's wave time
+  // is the batch's latency.
+  return WaveScanCost(batch_queries, BytesPerQueryPerServer(),
+                      server_.scan_bytes_per_core, server_);
 }
 
 }  // namespace rago::retrieval
