@@ -1,6 +1,8 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
 #include <limits>
 #include <memory>
 #include <utility>
@@ -34,20 +36,8 @@ ThreadPool::Submit(std::function<void()> task) {
     std::unique_lock<std::mutex> lock(mutex_);
     RAGO_CHECK(!shutdown_, "submit on a shut-down thread pool");
     queue_.push_back(std::move(task));
-    ++in_flight_;
   }
   work_available_.notify_one();
-}
-
-void
-ThreadPool::Wait() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  all_done_.wait(lock, [this] { return in_flight_ == 0; });
-  if (first_error_ != nullptr) {
-    std::exception_ptr error = first_error_;
-    first_error_ = nullptr;
-    std::rethrow_exception(error);
-  }
 }
 
 void
@@ -64,22 +54,7 @@ ThreadPool::WorkerLoop() {
       task = std::move(queue_.front());
       queue_.pop_front();
     }
-    std::exception_ptr error;
-    try {
-      task();
-    } catch (...) {
-      error = std::current_exception();
-    }
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      if (error != nullptr && first_error_ == nullptr) {
-        first_error_ = error;
-      }
-      --in_flight_;
-      if (in_flight_ == 0) {
-        all_done_.notify_all();
-      }
-    }
+    task();
   }
 }
 
@@ -173,10 +148,10 @@ ParallelFor(ThreadPool* pool, size_t n,
       }
     });
   }
-  // Participating (instead of blocking on pool->Wait()) is what makes
-  // nested ParallelFor safe: the wave finishes even if every helper is
-  // stuck behind other pool work, and a worker-thread caller never
-  // waits for its own task to retire.
+  // Participating (instead of blocking until the pool is idle) is what
+  // makes nested ParallelFor safe: the wave finishes even if every
+  // helper is stuck behind other pool work, and a worker-thread caller
+  // never waits for its own task to retire.
   state->Drain();
   std::unique_lock<std::mutex> lock(state->mutex);
   state->idle.wait(lock, [&] { return state->active == 0; });

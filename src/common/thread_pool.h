@@ -5,19 +5,17 @@
  * The sharded retrieval tier fans every query batch out to per-shard
  * indexes (one logical server per shard); the optimizer's Algorithm-1
  * profiling and schedule enumeration are embarrassingly parallel too.
- * Both need only a minimal submit/wait pool, not a full task graph.
- * Determinism contract: callers write results into pre-sized slots
+ * Both need only a worker pool behind ParallelFor, not a full task
+ * graph. Determinism contract: callers write results into pre-sized slots
  * keyed by task index, so output is identical for any thread count
  * (including 1); the pool itself never reorders observable results.
  */
 #ifndef RAGO_COMMON_THREAD_POOL_H
 #define RAGO_COMMON_THREAD_POOL_H
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
-#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -25,7 +23,7 @@
 
 namespace rago {
 
-/// Fixed-size worker pool: Submit() closures, Wait() for quiescence.
+/// Fixed-size worker pool; work reaches it only through ParallelFor.
 class ThreadPool {
  public:
   /// Spawns `num_threads` workers (must be >= 1).
@@ -37,30 +35,21 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Enqueues a task for execution on some worker.
-  void Submit(std::function<void()> task);
-
-  /**
-   * Blocks until every submitted task has finished running. If any
-   * task threw, rethrows the first captured exception on the calling
-   * thread (matching what an inline run would have thrown).
-   *
-   * Must not be called from a worker thread (a worker waiting on its
-   * own wave can never drain it); use ParallelFor for nested fan-out.
-   */
-  void Wait();
-
   int num_threads() const { return static_cast<int>(workers_.size()); }
 
  private:
+  friend void ParallelFor(ThreadPool* pool, size_t n,
+                          const std::function<void(size_t)>& fn);
+
+  /// Enqueues a task for execution on some worker. Tasks must not
+  /// throw: ParallelFor's helpers catch every body exception.
+  void Submit(std::function<void()> task);
+
   void WorkerLoop();
 
   std::mutex mutex_;
   std::condition_variable work_available_;
-  std::condition_variable all_done_;
   std::deque<std::function<void()>> queue_;
-  size_t in_flight_ = 0;  ///< Queued + currently-executing tasks.
-  std::exception_ptr first_error_;  ///< First task exception, if any.
   bool shutdown_ = false;
   std::vector<std::thread> workers_;
 };

@@ -302,8 +302,6 @@ PipelineModel::EvaluateWith(const Schedule& schedule,
                             const StagePerfProvider& provider) const {
   schedule.Validate(chain_.size());
   const WorkloadConfig& w = schema_.workload;
-  EndToEndPerf perf;
-  perf.feasible = true;
 
   // --- Prefix-chain groups (time-multiplexed collocation). ---
   std::vector<double> group_latency(schedule.group_chips.size(), 0.0);
@@ -317,8 +315,7 @@ PipelineModel::EvaluateWith(const Schedule& schedule,
         chain_[i], schedule.group_chips[static_cast<size_t>(g)],
         schedule.chain_batch[i]);
     if (!stage_perf.feasible) {
-      perf.feasible = false;
-      return perf;
+      return EndToEndPerf{};
     }
     group_latency[static_cast<size_t>(g)] += stage_perf.latency;
     group_seconds_per_request[static_cast<size_t>(g)] +=
@@ -333,8 +330,7 @@ PipelineModel::EvaluateWith(const Schedule& schedule,
   // Collocated models must fit on the group's chips together.
   for (size_t g = 0; g < group_mem.size(); ++g) {
     if (group_mem[g] > cluster_.xpu.hbm_bytes) {
-      perf.feasible = false;
-      return perf;
+      return EndToEndPerf{};
     }
   }
 
@@ -347,8 +343,7 @@ PipelineModel::EvaluateWith(const Schedule& schedule,
     retrieval_perf = provider.retrieval(
         static_cast<int>(schedule.retrieval_batch), schedule.retrieval_servers);
     if (!retrieval_perf.feasible) {
-      perf.feasible = false;
-      return perf;
+      return EndToEndPerf{};
     }
     ttft += retrieval_perf.latency;
     // The retrieval tier serves every retrieval of every sequence.
@@ -378,8 +373,7 @@ PipelineModel::EvaluateWith(const Schedule& schedule,
   const StagePerf decode_perf =
       provider.decode(schedule.decode_chips, schedule.decode_batch);
   if (!decode_perf.feasible) {
-    perf.feasible = false;
-    return perf;
+    return EndToEndPerf{};
   }
   double tpot = decode_perf.latency;
   double decode_request_throughput = decode_perf.throughput;
@@ -396,8 +390,7 @@ PipelineModel::EvaluateWith(const Schedule& schedule,
         schedule.group_chips[static_cast<size_t>(prefix_group)],
         schedule.iterative_batch);
     if (!iter_retrieval.feasible || !ingest.feasible) {
-      perf.feasible = false;
-      return perf;
+      return EndToEndPerf{};
     }
     const IterativeStall stall = IterativeDecodeStall(
         schedule.decode_batch, iter_rounds, w.decode_tokens,
@@ -410,9 +403,10 @@ PipelineModel::EvaluateWith(const Schedule& schedule,
 
   // --- Assembly. ---
   if (schedule.AllocatedXpus() > cluster_.TotalXpus()) {
-    perf.feasible = false;
-    return perf;
+    return EndToEndPerf{};
   }
+  EndToEndPerf perf;
+  perf.feasible = true;
   perf.ttft = ttft;
   perf.tpot = tpot;
   perf.qps = min_throughput;

@@ -104,9 +104,8 @@ InferenceModel::ReplicaSweep(int chips, int64_t batch, WorkFn work) const {
   std::vector<PhaseCost> options;
   for (int replicas = 1; replicas <= chips && replicas <= batch;
        replicas *= 2) {
-    const int sub_chips = chips / replicas;
     const ReplicaWork w = work(CeilDiv(batch, replicas));
-    for (const ShardingPlan& plan : PlansFor(sub_chips)) {
+    for (const ShardingPlan& plan : PlansFor(chips / replicas)) {
       PhaseCost cost =
           EvalPlan(w.ops, plan, w.per_layer_comm_bytes, w.kv_cache_bytes);
       // Each replica completes replica-batches (decode: steps) at the

@@ -17,9 +17,7 @@ HnswIndex::HnswIndex(Matrix data, const HnswOptions& options, Rng& rng)
   RAGO_REQUIRE(options_.max_degree >= 2, "max_degree must be at least 2");
   RAGO_REQUIRE(options_.ef_construction >= options_.max_degree,
                "ef_construction should be at least max_degree");
-  level_multiplier_ = options_.level_multiplier > 0
-                          ? options_.level_multiplier
-                          : 1.0 / std::log(options_.max_degree);
+  level_multiplier_ = 1.0 / std::log(options_.max_degree);
 
   nodes_.resize(data_.rows());
   int64_t build_evals = 0;  // Build-time distance evals, not reported.

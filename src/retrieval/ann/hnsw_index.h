@@ -29,7 +29,6 @@ namespace rago::ann {
 struct HnswOptions {
   int max_degree = 16;           ///< M: links per node above layer 0.
   int ef_construction = 64;      ///< Beam width during insertion.
-  double level_multiplier = 0.0; ///< 0 -> default 1/ln(M).
 };
 
 /// In-memory HNSW graph over an owned vector matrix.
@@ -110,7 +109,7 @@ class HnswIndex {
 
   Matrix data_;
   HnswOptions options_;
-  double level_multiplier_ = 0.0;
+  double level_multiplier_ = 0.0;  ///< 1/ln(M), the standard choice.
   std::vector<Node> nodes_;
   int32_t entry_point_ = -1;
   int max_level_ = -1;

@@ -12,9 +12,7 @@
 namespace rago::ann {
 
 IvfPqIndex::IvfPqIndex(Matrix data, const IvfPqOptions& options, Rng& rng)
-    : num_vectors_(data.rows()),
-      nlist_(options.nlist),
-      encode_residuals_(options.encode_residuals) {
+    : num_vectors_(data.rows()), nlist_(options.nlist) {
   RAGO_REQUIRE(!data.empty(), "IVF-PQ requires a non-empty database");
   RAGO_REQUIRE(options.nlist > 0, "nlist must be positive");
   RAGO_REQUIRE(static_cast<size_t>(options.nlist) <= data.rows(),
@@ -28,7 +26,7 @@ IvfPqIndex::IvfPqIndex(Matrix data, const IvfPqOptions& options, Rng& rng)
   centroids_ = std::move(coarse.centroids);
 
   // Training material for PQ: residuals against the assigned centroid
-  // (tighter codebooks) or the raw vectors.
+  // (tighter codebooks than the raw vectors).
   Matrix train(data.rows(), dim);
   for (size_t i = 0; i < data.rows(); ++i) {
     const float* row = data.Row(i);
@@ -36,7 +34,7 @@ IvfPqIndex::IvfPqIndex(Matrix data, const IvfPqOptions& options, Rng& rng)
         centroids_.Row(static_cast<size_t>(coarse.assignments[i]));
     float* dst = train.Row(i);
     for (size_t d = 0; d < dim; ++d) {
-      dst[d] = encode_residuals_ ? row[d] - centroid[d] : row[d];
+      dst[d] = row[d] - centroid[d];
     }
   }
   pq_ = std::make_unique<ProductQuantizer>(train, options.pq_subspaces, rng,
@@ -51,17 +49,12 @@ IvfPqIndex::IvfPqIndex(Matrix data, const IvfPqOptions& options, Rng& rng)
     ids_[cluster].push_back(static_cast<int64_t>(i));
     codes_[cluster].Append(code.data());
   }
-
-  if (options.keep_raw_vectors) {
-    raw_ = std::move(data);
-  }
+  raw_ = std::move(data);
 }
 
 std::vector<Neighbor>
 IvfPqIndex::SearchLists(const float* query, size_t k, int rerank,
                         const std::vector<int32_t>& clusters) const {
-  RAGO_REQUIRE(rerank == 0 || !raw_.empty(),
-               "re-ranking requires keep_raw_vectors at build time");
   const size_t dim = centroids_.dim();
 
   // ADC scan inside probed lists. The candidate pool is max(k, rerank)
@@ -74,14 +67,10 @@ IvfPqIndex::SearchLists(const float* query, size_t k, int rerank,
   for (int32_t cluster : clusters) {
     const auto c = static_cast<size_t>(cluster);
     const float* centroid = centroids_.Row(c);
-    const float* table_query = query;
-    if (encode_residuals_) {
-      for (size_t d = 0; d < dim; ++d) {
-        shifted[d] = query[d] - centroid[d];
-      }
-      table_query = shifted.data();
+    for (size_t d = 0; d < dim; ++d) {
+      shifted[d] = query[d] - centroid[d];
     }
-    pq_->BuildAdcTable(table_query, table);
+    pq_->BuildAdcTable(shifted.data(), table);
     const std::vector<int64_t>& list_ids = ids_[c];
     kernels::ScanCodesPackedIntoTopK(table.data(), codes_[c].data(),
                                      list_ids.size(), pq_->CodeBytes(),

@@ -5,7 +5,9 @@
  * The workhorse algorithm for hyperscale RAG retrieval (paper §2):
  * memory-efficient PQ codes (96 bytes for 768 dims at 1 byte per 8
  * dims) scanned with ADC lookup tables inside the probed IVF lists.
- * Optionally re-ranks the top PQ candidates with exact distances.
+ * Codes quantize each vector's residual against its list centroid;
+ * the raw vectors are kept so the top PQ candidates can optionally be
+ * re-ranked with exact distances.
  */
 #ifndef RAGO_RETRIEVAL_ANN_IVFPQ_INDEX_H
 #define RAGO_RETRIEVAL_ANN_IVFPQ_INDEX_H
@@ -26,9 +28,6 @@ struct IvfPqOptions {
   int nlist = 64;
   int pq_subspaces = 8;  ///< Code bytes per vector.
   int kmeans_iterations = 10;
-  bool encode_residuals = true;  ///< PQ on (vector - centroid) residuals.
-  /// Keep the raw vectors to allow exact re-ranking (costs memory).
-  bool keep_raw_vectors = true;
 };
 
 /// IVF index whose lists store PQ codes instead of raw vectors.
@@ -40,7 +39,7 @@ class IvfPqIndex {
    * Approximate top-k via ADC scan of `nprobe` lists.
    *
    * @param rerank if positive, the top `rerank` PQ candidates are
-   *   re-scored with exact distances (requires keep_raw_vectors).
+   *   re-scored with exact distances.
    */
   std::vector<Neighbor> Search(const float* query, size_t k, int nprobe,
                                int rerank = 0) const;
@@ -69,9 +68,8 @@ class IvfPqIndex {
 
   size_t num_vectors_ = 0;
   int nlist_ = 0;
-  bool encode_residuals_ = true;
   Matrix centroids_;
-  Matrix raw_;  ///< Empty when keep_raw_vectors is false.
+  Matrix raw_;  ///< Exact vectors for re-ranking.
   std::unique_ptr<ProductQuantizer> pq_;
   /// Per-list vector ids and codes in the packed fast-scan layout.
   std::vector<std::vector<int64_t>> ids_;

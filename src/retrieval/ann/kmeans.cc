@@ -14,6 +14,10 @@ namespace {
 /// centroid block is streamed once per 8 points.
 constexpr size_t kAssignTile = 8;
 
+/// Training stops once an iteration improves inertia by less than this
+/// fraction.
+constexpr double kConvergenceTolerance = 1e-4;
+
 /// Writes `rows` column-major into `cols` (the l2sq_cols layout):
 /// dimension d of row i lands at `cols[d * rows.rows() + i]`.
 void TransposeInto(const Matrix& rows, std::vector<float>& cols) {
@@ -82,22 +86,7 @@ Matrix SeedPlusPlus(const Matrix& data, int k, Rng& rng) {
   return centroids;
 }
 
-Matrix SeedRandom(const Matrix& data, int k, Rng& rng) {
-  Matrix centroids(static_cast<size_t>(k), data.dim());
-  for (int c = 0; c < k; ++c) {
-    centroids.CopyRowFrom(data, rng.NextBounded(data.rows()),
-                          static_cast<size_t>(c));
-  }
-  return centroids;
-}
-
 }  // namespace
-
-int32_t
-NearestCentroid(const Matrix& centroids, const float* vec) {
-  return static_cast<int32_t>(kernels::ArgMinL2(
-      vec, centroids.data(), centroids.rows(), centroids.dim()));
-}
 
 KMeansResult
 TrainKMeans(const Matrix& data, int k, Rng& rng, const KMeansOptions& options) {
@@ -109,8 +98,7 @@ TrainKMeans(const Matrix& data, int k, Rng& rng, const KMeansOptions& options) {
   const auto num_centroids = static_cast<size_t>(k);
 
   KMeansResult result;
-  result.centroids = options.plus_plus_seeding ? SeedPlusPlus(data, k, rng)
-                                               : SeedRandom(data, k, rng);
+  result.centroids = SeedPlusPlus(data, k, rng);
   result.assignments.assign(n, 0);
 
   std::vector<double> sums(num_centroids * dim);
@@ -206,7 +194,7 @@ TrainKMeans(const Matrix& data, int k, Rng& rng, const KMeansOptions& options) {
     if (prev_inertia < std::numeric_limits<double>::max()) {
       const double rel =
           (prev_inertia - inertia) / std::max(prev_inertia, 1e-30);
-      if (rel >= 0.0 && rel < options.tolerance) {
+      if (rel >= 0.0 && rel < kConvergenceTolerance) {
         break;
       }
     }

@@ -28,14 +28,12 @@ struct KMeansResult {
 /// Tuning knobs for k-means training.
 struct KMeansOptions {
   int max_iterations = 20;
-  /// Stop early when relative inertia improvement drops below this.
-  double tolerance = 1e-4;
-  /// Use k-means++ seeding (otherwise uniform random rows).
-  bool plus_plus_seeding = true;
 };
 
 /**
- * Trains k centroids over `data`.
+ * Trains k centroids over `data`, seeded by k-means++. Stops after
+ * `max_iterations` or once an iteration improves inertia by less than
+ * 1e-4 relative.
  *
  * Empty clusters are re-seeded from the point farthest from its
  * centroid, so exactly k non-degenerate centroids are returned even on
@@ -43,9 +41,6 @@ struct KMeansOptions {
  */
 KMeansResult TrainKMeans(const Matrix& data, int k, Rng& rng,
                          const KMeansOptions& options = {});
-
-/// Index of the centroid nearest to `vec` (L2).
-int32_t NearestCentroid(const Matrix& centroids, const float* vec);
 
 }  // namespace rago::ann
 

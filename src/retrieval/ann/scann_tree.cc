@@ -25,10 +25,7 @@ ScannTree::ScannTree(Matrix data, const ScannTreeOptions& options, Rng& rng)
     all_ids[i] = static_cast<int64_t>(i);
   }
   root_ = BuildNode(data, all_ids, /*level=*/0, rng);
-
-  if (options.keep_raw_vectors) {
-    raw_ = std::move(data);
-  }
+  raw_ = std::move(data);
 }
 
 std::unique_ptr<ScannTree::Node>
@@ -87,8 +84,6 @@ ScannTree::BuildNode(const Matrix& data, const std::vector<int64_t>& ids,
 std::vector<Neighbor>
 ScannTree::Search(const float* query, size_t k, int beam, int rerank) const {
   RAGO_REQUIRE(beam > 0, "beam width must be positive");
-  RAGO_REQUIRE(rerank == 0 || !raw_.empty(),
-               "re-ranking requires keep_raw_vectors at build time");
 
   // Beam search down the centroid levels; each node's centroid block is
   // contiguous, so scoring a frontier is one batched scan per node.

@@ -30,7 +30,6 @@ struct ScannTreeOptions {
   int fanout = 16;       ///< Children per internal node.
   int pq_subspaces = 8;  ///< PQ code bytes per vector.
   int kmeans_iterations = 8;
-  bool keep_raw_vectors = true;  ///< Enables exact re-ranking.
 };
 
 /// Hierarchical centroid tree over PQ-coded leaves.

@@ -7,8 +7,8 @@
  * bandwidth). The functional sharded tier (retrieval/serving) produces
  * the same quantities by measurement: bytes scanned and wall time per
  * shard. This adapter feeds a *measured* profile to the same
- * WaveScanCost pricing rule, so the serving DES can cross-check analytical
- * prices against real multi-server scans.
+ * WaveScanCost pricing rule, so the serving DES can cross-check
+ * analytical prices against real multi-server scans.
  */
 #ifndef RAGO_RETRIEVAL_PERF_MEASURED_MODEL_H
 #define RAGO_RETRIEVAL_PERF_MEASURED_MODEL_H

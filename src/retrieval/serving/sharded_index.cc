@@ -23,7 +23,7 @@ double SecondsSince(Clock::time_point start) {
 
 /**
  * Uniform per-shard search engine. Implementations wrap one functional
- * index, run its batched entry point, and report the (estimated or
+ * index, run its batched entry point, and add the (estimated or
  * measured) bytes scanned — the quantity the analytical cost models
  * price, and what calibration feeds back to them.
  */
@@ -34,9 +34,6 @@ class ShardEngine {
   /// Shard-local top-k per query; adds scanned bytes to `*scan_bytes`.
   virtual std::vector<std::vector<ann::Neighbor>> SearchBatch(
       const ann::Matrix& queries, size_t k, double* scan_bytes) const = 0;
-
-  /// Estimated bytes one query scans in this shard.
-  virtual double BytesPerQuery() const = 0;
 };
 
 class FlatEngine : public ShardEngine {
@@ -46,14 +43,10 @@ class FlatEngine : public ShardEngine {
   std::vector<std::vector<ann::Neighbor>> SearchBatch(
       const ann::Matrix& queries, size_t k, double* scan_bytes) const
       override {
-    *scan_bytes +=
-        BytesPerQuery() * static_cast<double>(queries.rows());
+    *scan_bytes += static_cast<double>(index_.size()) *
+                   static_cast<double>(index_.dim()) * sizeof(float) *
+                   static_cast<double>(queries.rows());
     return index_.SearchBatch(queries, k);
-  }
-
-  double BytesPerQuery() const override {
-    return static_cast<double>(index_.size()) *
-           static_cast<double>(index_.dim()) * sizeof(float);
   }
 
  private:
@@ -72,14 +65,12 @@ class IvfEngine : public ShardEngine {
   std::vector<std::vector<ann::Neighbor>> SearchBatch(
       const ann::Matrix& queries, size_t k, double* scan_bytes) const
       override {
-    *scan_bytes += BytesPerQuery() * static_cast<double>(queries.rows());
-    return index_->SearchBatch(queries, k, nprobe_);
-  }
-
-  double BytesPerQuery() const override {
     // In-list exact distances plus the coarse centroid scan.
-    return (index_->ExpectedScannedVectors(nprobe_) + index_->nlist()) *
-           static_cast<double>(dim_) * sizeof(float);
+    *scan_bytes +=
+        (index_->ExpectedScannedVectors(nprobe_) + index_->nlist()) *
+        static_cast<double>(dim_) * sizeof(float) *
+        static_cast<double>(queries.rows());
+    return index_->SearchBatch(queries, k, nprobe_);
   }
 
  private:
@@ -102,12 +93,9 @@ class IvfPqEngine : public ShardEngine {
   std::vector<std::vector<ann::Neighbor>> SearchBatch(
       const ann::Matrix& queries, size_t k, double* scan_bytes) const
       override {
-    *scan_bytes += BytesPerQuery() * static_cast<double>(queries.rows());
+    *scan_bytes += index_->ExpectedScannedBytes(nprobe_) *
+                   static_cast<double>(queries.rows());
     return index_->SearchBatch(queries, k, nprobe_, rerank_);
-  }
-
-  double BytesPerQuery() const override {
-    return index_->ExpectedScannedBytes(nprobe_);
   }
 
  private:
@@ -128,39 +116,20 @@ class HnswEngine : public ShardEngine {
       override {
     // The eval tally goes to a caller-owned slot, so the
     // (shard x query-block) tasks of one batch search this shard
-    // concurrently; only the stats fold below serializes.
+    // concurrently without sharing state.
     int64_t evals = 0;
     auto results = index_.SearchBatch(queries, k, ef_search_, &evals);
     // Graph search has no closed-form scan estimate; charge the
     // measured distance evaluations at full precision.
     *scan_bytes += static_cast<double>(evals) *
                    static_cast<double>(dim_) * sizeof(float);
-    // Lifetime integer totals: block completion order cannot change
-    // the running average (unlike a "most recent block" snapshot).
-    std::lock_guard<std::mutex> guard(mutex_);
-    total_evals_ += evals;
-    total_queries_ += static_cast<int64_t>(results.size());
     return results;
-  }
-
-  double BytesPerQuery() const override {
-    // Measured average over every query searched so far; 0 before any.
-    std::lock_guard<std::mutex> guard(mutex_);
-    if (total_queries_ == 0) {
-      return 0.0;
-    }
-    return static_cast<double>(total_evals_) /
-           static_cast<double>(total_queries_) *
-           static_cast<double>(dim_) * sizeof(float);
   }
 
  private:
   int ef_search_;
   size_t dim_;
   ann::HnswIndex index_;
-  mutable std::mutex mutex_;
-  mutable int64_t total_evals_ = 0;
-  mutable int64_t total_queries_ = 0;
 };
 
 class ScannTreeEngine : public ShardEngine {
@@ -173,12 +142,9 @@ class ScannTreeEngine : public ShardEngine {
   std::vector<std::vector<ann::Neighbor>> SearchBatch(
       const ann::Matrix& queries, size_t k, double* scan_bytes) const
       override {
-    *scan_bytes += BytesPerQuery() * static_cast<double>(queries.rows());
+    *scan_bytes += index_.ExpectedLeafBytesScanned(beam_) *
+                   static_cast<double>(queries.rows());
     return index_.SearchBatch(queries, k, beam_, rerank_);
-  }
-
-  double BytesPerQuery() const override {
-    return index_.ExpectedLeafBytesScanned(beam_);
   }
 
  private:
@@ -442,19 +408,6 @@ ShardedIndex::SearchBatch(const ann::Matrix& queries, size_t k,
     stats->num_queries = static_cast<int64_t>(num_queries);
   }
   return merged;
-}
-
-double
-ShardedIndex::BytesPerQueryPerShardEstimate() const {
-  double total = 0.0;
-  int populated = 0;
-  for (const Shard& shard : shards_) {
-    if (shard.engine != nullptr) {
-      total += shard.engine->BytesPerQuery();
-      ++populated;
-    }
-  }
-  return populated > 0 ? total / populated : 0.0;
 }
 
 }  // namespace rago::serving

@@ -155,12 +155,6 @@ class ShardedIndex {
   const ShardedIndexOptions& options() const { return options_; }
   const Partition& partition() const { return partition_; }
 
-  /// Estimated bytes one query scans per shard (backend model; the
-  /// HNSW backend reports the measured lifetime average over every
-  /// query searched so far — block-order independent — 0 before any
-  /// search).
-  double BytesPerQueryPerShardEstimate() const;
-
  private:
   struct Shard;
 

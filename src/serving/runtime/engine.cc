@@ -39,6 +39,9 @@ struct ExecStage {
   /// throughput) can be shorter than the completion latency.
   double interval = 0.0;
   std::deque<QueueEntry> queue;
+  /// Members of each started, unfinished batch, oldest first; a
+  /// stage-done event completes the oldest.
+  std::deque<std::vector<int>> in_flight;
   double oldest_enqueue = 0.0;
   /// Time of the last flush deadline pushed for this stage.
   double armed_deadline = -std::numeric_limits<double>::infinity();
@@ -76,8 +79,7 @@ struct Event {
 
 /// Run-level aggregates of a drained run (id order: independent of
 /// event order).
-void Aggregate(const RuntimeOptions& options, double decode_busy_time,
-               RuntimeResult& result) {
+void Aggregate(double decode_busy_time, RuntimeResult& result) {
   result.throughput = static_cast<double>(result.completed) /
                       std::max(result.makespan, 1e-12);
   int64_t within_slo = 0;
@@ -91,8 +93,6 @@ void Aggregate(const RuntimeOptions& options, double decode_busy_time,
     result.ttft.Add(outcome.ttft);
     result.tpot.Add(outcome.tpot);
     result.queue_wait.Add(outcome.queue_wait);
-    outcome.slo_ok = outcome.ttft <= options.slo.ttft_seconds &&
-                     outcome.tpot <= options.slo.tpot_seconds;
     within_slo += outcome.slo_ok ? 1 : 0;
     hit_fraction_total += outcome.prefix_hit_fraction;
   }
@@ -369,14 +369,6 @@ RunServingEngine(const core::PipelineModel& model,
 
   double now = 0.0;
 
-  // In-flight batches; a stage-done event completes the oldest batch of
-  // its stage (FIFO per stage).
-  struct InFlight {
-    size_t stage = 0;
-    std::vector<int> members;
-  };
-  std::vector<InFlight> in_flight;
-
   // Feeds every closed fine window to the flight recorder and the
   // alert engine; alert transitions become trace instants and flight
   // records.
@@ -516,13 +508,12 @@ RunServingEngine(const core::PipelineModel& model,
         }
         const auto take = static_cast<size_t>(std::min<int64_t>(
             stage.batch, static_cast<int64_t>(stage.queue.size())));
-        InFlight batch;
-        batch.stage = s;
-        batch.members.reserve(take);
+        std::vector<int> members;
+        members.reserve(take);
         double hit_fraction_sum = 0.0;
         for (size_t i = 0; i < take; ++i) {
           const QueueEntry& entry = stage.queue[i];
-          batch.members.push_back(entry.id);
+          members.push_back(entry.id);
           const double wait = now - entry.enqueued;
           telemetry.queue_wait.Add(wait);
           RequestOutcome& outcome =
@@ -565,7 +556,7 @@ RunServingEngine(const core::PipelineModel& model,
         const bool scans = s == retrieval_stage_index && retrieve;
         const double scan_seconds_before = result.real_scan_seconds;
         if (scans) {
-          run_retrieval(batch.members);
+          run_retrieval(members);
         }
         if (trace != nullptr) {
           // Server row: occupancy (interval); request rows: the
@@ -581,14 +572,14 @@ RunServingEngine(const core::PipelineModel& model,
                 "real_scan_wall_s",
                 result.real_scan_seconds - scan_seconds_before);
           }
-          for (int id : batch.members) {
+          for (int id : members) {
             trace->AddComplete(
                 std::string("exec:") + core::StageName(stage.type),
                 "stage", 1, id, now, latency, id);
           }
         }
         record_timeline(s);
-        in_flight.push_back(std::move(batch));
+        stage.in_flight.push_back(std::move(members));
         events.push(Event{now + latency, 1, static_cast<int>(s)});
       }
       if (!stage.queue.empty() && server_busy_until[server] <= now) {
@@ -657,28 +648,24 @@ RunServingEngine(const core::PipelineModel& model,
   // Completes the oldest in-flight batch of stage `s`: members advance
   // to the next stage, or emit their first token and join decode.
   auto complete_stage = [&](size_t s) {
-    for (size_t b = 0; b < in_flight.size(); ++b) {
-      if (in_flight[b].stage != s) {
-        continue;
-      }
-      for (int id : in_flight[b].members) {
-        if (s + 1 < stages.size()) {
-          enter_stage(s + 1, id);
-        } else {
-          RequestOutcome& outcome =
-              result.requests[static_cast<size_t>(id)];
-          outcome.ttft = now - outcome.arrival;
-          decode_waiting.push_back(id);
-          if (trace != nullptr) {
-            trace->AddInstant("first-token", "stage", 1, id, now, id);
-          }
-          result.max_decode_queue_depth =
-              std::max(result.max_decode_queue_depth,
-                       static_cast<int>(decode_waiting.size()));
+    std::deque<std::vector<int>>& in_flight = stages[s].in_flight;
+    RAGO_CHECK(!in_flight.empty(), "stage-done event without a batch");
+    const std::vector<int> members = std::move(in_flight.front());
+    in_flight.pop_front();
+    for (int id : members) {
+      if (s + 1 < stages.size()) {
+        enter_stage(s + 1, id);
+      } else {
+        RequestOutcome& outcome = result.requests[static_cast<size_t>(id)];
+        outcome.ttft = now - outcome.arrival;
+        decode_waiting.push_back(id);
+        if (trace != nullptr) {
+          trace->AddInstant("first-token", "stage", 1, id, now, id);
         }
+        result.max_decode_queue_depth =
+            std::max(result.max_decode_queue_depth,
+                     static_cast<int>(decode_waiting.size()));
       }
-      in_flight.erase(in_flight.begin() + static_cast<long>(b));
-      break;
     }
     admit_decode();
   };
@@ -702,15 +689,13 @@ RunServingEngine(const core::PipelineModel& model,
         outcome.completion = now;
         outcome.tpot = (now - outcome.decode_start) / decode_tokens;
         ++result.completed;
-        // Same predicate the end-of-run aggregation applies; computed
-        // here so windowed telemetry sees the verdict at completion
-        // time.
-        const bool within_slo_now =
-            outcome.ttft <= options.slo.ttft_seconds &&
-            outcome.tpot <= options.slo.tpot_seconds;
+        // The verdict is taken once, at completion: windowed telemetry
+        // sees it now and the end-of-run aggregation reads it.
+        outcome.slo_ok = outcome.ttft <= options.slo.ttft_seconds &&
+                         outcome.tpot <= options.slo.tpot_seconds;
         if (series != nullptr) {
           series->RecordCompletion(now, outcome.ttft, outcome.tpot,
-                                   outcome.queue_wait, within_slo_now);
+                                   outcome.queue_wait, outcome.slo_ok);
         }
         if (trace != nullptr) {
           trace->AddComplete("decode", "stage", 1, seq.id,
@@ -721,7 +706,7 @@ RunServingEngine(const core::PipelineModel& model,
                              seq.id);
           // Terminal: seal for sampling, scored by end-to-end latency.
           trace->FinalizeRequest(seq.id, now - outcome.arrival,
-                                 !within_slo_now);
+                                 !outcome.slo_ok);
         }
       } else {
         still.push_back(seq);
@@ -849,7 +834,7 @@ RunServingEngine(const core::PipelineModel& model,
   }
 
   result.makespan = now;
-  Aggregate(options, decode_busy_time, result);
+  Aggregate(decode_busy_time, result);
 
   // Cache-tier telemetry: counter state only ever mutates inside the
   // serial loop, so it is independent of scan interleaving.

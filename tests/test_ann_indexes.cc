@@ -166,19 +166,6 @@ TEST(IvfPq, ScannedBytesMatchCodeGeometry) {
   EXPECT_NEAR(index.ExpectedScannedBytes(10), 4000.0, 1e-9);
 }
 
-TEST(IvfPq, RerankRequiresRawVectors) {
-  const TestBed bed = MakeBed(600, 8, 2);
-  Rng rng(8);
-  IvfPqOptions options;
-  options.nlist = 8;
-  options.pq_subspaces = 4;
-  options.keep_raw_vectors = false;
-  const IvfPqIndex index(Copy(bed.data), options, rng);
-  EXPECT_NO_THROW(index.Search(bed.queries.Row(0), 5, 4));
-  EXPECT_THROW(index.Search(bed.queries.Row(0), 5, 4, /*rerank=*/20),
-               rago::ConfigError);
-}
-
 TEST(ScannTree, RecallImprovesWithBeamWidth) {
   const TestBed bed = MakeBed();
   Rng rng(9);

@@ -171,7 +171,7 @@ TEST(KMeans, RejectsInvalidK) {
   EXPECT_THROW(TrainKMeans(data, 11, train_rng), rago::ConfigError);
 }
 
-TEST(NearestCentroid, PicksTrueNearest) {
+TEST(KMeans, ArgMinL2PicksTrueNearest) {
   Matrix centroids(3, 2);
   centroids.Row(0)[0] = 0.0f;
   centroids.Row(1)[0] = 5.0f;
@@ -179,9 +179,14 @@ TEST(NearestCentroid, PicksTrueNearest) {
   const float q1[2] = {1.0f, 0.0f};
   const float q2[2] = {6.0f, 0.0f};
   const float q3[2] = {100.0f, 0.0f};
-  EXPECT_EQ(NearestCentroid(centroids, q1), 0);
-  EXPECT_EQ(NearestCentroid(centroids, q2), 1);
-  EXPECT_EQ(NearestCentroid(centroids, q3), 2);
+  // The assignment kernel k-means and every centroid lookup rank with.
+  auto nearest = [&](const float* q) {
+    return kernels::ArgMinL2(q, centroids.data(), centroids.rows(),
+                             centroids.dim());
+  };
+  EXPECT_EQ(nearest(q1), 0u);
+  EXPECT_EQ(nearest(q2), 1u);
+  EXPECT_EQ(nearest(q3), 2u);
 }
 
 TEST(Distance, KernelsMatchManualComputation) {

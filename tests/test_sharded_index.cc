@@ -234,10 +234,9 @@ TEST(ShardedIndex, DeterministicAcrossThreadCountsForApproxBackends) {
 }
 
 TEST(ShardedIndex, HnswBlocksSearchConcurrentlyAndStayDeterministic) {
-  // HNSW query-blocks of one shard now run in parallel (the counted
-  // eval overload removed the whole-search lock); results and the
-  // integer eval-based scan-byte accounting must stay thread-count
-  // invariant.
+  // HNSW query-blocks of one shard run in parallel and share no
+  // state; results and the integer eval-based scan-byte accounting
+  // must stay thread-count invariant.
   const AnnTestBed bed = MakeAnnTestBed(1500, 12, 24);
   ShardedIndexOptions options;
   options.num_shards = 2;  // Few shards, many blocks per shard.
@@ -262,9 +261,6 @@ TEST(ShardedIndex, HnswBlocksSearchConcurrentlyAndStayDeterministic) {
               threaded_stats.shards[s].scan_bytes)
         << "eval accounting drifted on shard " << s;
   }
-  EXPECT_GT(a.BytesPerQueryPerShardEstimate(), 0.0);
-  EXPECT_EQ(a.BytesPerQueryPerShardEstimate(),
-            b.BytesPerQueryPerShardEstimate());
 }
 
 TEST(ShardedIndex, ApproxBackendsReachUsableRecall) {

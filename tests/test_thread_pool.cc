@@ -20,45 +20,13 @@ TEST(ThreadPool, RejectsZeroWorkers) {
   EXPECT_THROW(ThreadPool(0), ConfigError);
 }
 
-TEST(ThreadPool, RunsSubmittedTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPool, WaitWithNoTasksReturnsImmediately) {
-  ThreadPool pool(2);
-  pool.Wait();  // Must not deadlock.
-  SUCCEED();
-}
-
 TEST(ThreadPool, ReusableAcrossWaves) {
   ThreadPool pool(3);
   std::atomic<int> counter{0};
   for (int wave = 0; wave < 5; ++wave) {
-    for (int i = 0; i < 20; ++i) {
-      pool.Submit([&counter] { counter.fetch_add(1); });
-    }
-    pool.Wait();
+    ParallelFor(&pool, 20, [&counter](size_t) { counter.fetch_add(1); });
     EXPECT_EQ(counter.load(), (wave + 1) * 20);
   }
-}
-
-TEST(ThreadPool, TaskExceptionsPropagateToWait) {
-  // A throwing task must surface on the caller like an inline run
-  // would, and must not wedge the pool.
-  ThreadPool pool(2);
-  pool.Submit([] { throw ConfigError("boom"); });
-  EXPECT_THROW(pool.Wait(), ConfigError);
-  // The pool stays usable and a clean wave waits cleanly.
-  std::atomic<int> counter{0};
-  pool.Submit([&counter] { counter.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 1);
 }
 
 TEST(ThreadPool, ParallelForPropagatesBodyExceptions) {
